@@ -11,12 +11,9 @@
 #include <algorithm>
 
 #include "decomp/decomp_writer.h"
-#include "hypergraph/parser.h"
 #include "net/http_client.h"
-#include "qa/wire.h"
-#include "service/anti_entropy.h"
 #include "net/json.h"
-#include "net/trace_json.h"
+#include "service/anti_entropy.h"
 #include "util/cli.h"
 #include "util/timer.h"
 
@@ -34,68 +31,24 @@ const char* OutcomeName(Outcome outcome) {
   return "?";
 }
 
-HttpResponse ErrorResponse(int status, const std::string& message) {
-  return JsonErrorResponse(status, message);
-}
+/// Transport timeout for one migration push (POST /v1/admin/import to a new
+/// owner). Blobs can be large.
+constexpr double kMigratePushTimeoutSeconds = 300.0;
+/// Transport timeout for one anti-entropy digest or slice pull.
+constexpr double kAntiEntropyPullTimeoutSeconds = 60.0;
 
-/// Route label for the per-route latency histogram. A small closed set, so
-/// an attacker probing random paths cannot mint unbounded label values.
-const char* RouteLabel(const std::string& path) {
-  if (path == "/v1/decompose") return "decompose";
-  if (path == "/v1/query") return "query";
-  if (path.rfind("/v1/jobs/", 0) == 0) return "jobs";
-  if (path == "/v1/stats") return "stats";
-  if (path == "/v1/metrics") return "metrics";
-  if (path == "/v1/trace") return "trace";
-  if (path.rfind("/v1/admin/", 0) == 0) return "admin";
-  if (path == "/healthz") return "healthz";
-  return "other";
-}
-
-/// Server-Timing header value (RFC draft syntax: name;dur=millis) for the
-/// full stage breakdown of one synchronous decompose.
-std::string StageTimingHeader(double parse_seconds,
-                              const service::StageBreakdown& stages,
-                              double serialise_seconds) {
-  auto dur = [](const char* name, double seconds) {
+/// Server-Timing header value (RFC draft syntax: name;dur=millis, in stage
+/// order) for one synchronous answer.
+std::string ServerTiming(
+    std::initializer_list<std::pair<const char*, double>> stages) {
+  std::string out;
+  for (const auto& [name, seconds] : stages) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%s;dur=%.3f", name, seconds * 1e3);
-    return std::string(buf);
-  };
-  return dur("parse", parse_seconds) + ", " +
-         dur("fingerprint", stages.fingerprint_seconds) + ", " +
-         dur("cache", stages.cache_seconds) + ", " +
-         dur("schedule", stages.schedule_seconds) + ", " +
-         dur("solve", stages.solve_seconds) + ", " +
-         dur("serialise", serialise_seconds);
-}
-
-/// Server-Timing for one synchronous /v1/query: the query engine's stage
-/// split plus the transport-side parse/serialise bookends.
-std::string QueryTimingHeader(double parse_seconds,
-                              const qa::QueryAnswer& answer,
-                              double serialise_seconds) {
-  auto dur = [](const char* name, double seconds) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%s;dur=%.3f", name, seconds * 1e3);
-    return std::string(buf);
-  };
-  return dur("parse", parse_seconds) + ", " +
-         dur("decompose", answer.decompose_seconds) + ", " +
-         dur("pick", answer.pick_seconds) + ", " +
-         dur("execute", answer.execute_seconds) + ", " +
-         dur("serialise", serialise_seconds);
-}
-
-/// Strict non-negative integer parse; -1 on garbage.
-int ParseInt(const std::string& text) {
-  if (text.empty()) return -1;
-  char* end = nullptr;
-  long value = std::strtol(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size() || value < 0 || value > 1'000'000'000) {
-    return -1;
+    if (!out.empty()) out += ", ";
+    out += buf;
   }
-  return static_cast<int>(value);
+  return out;
 }
 
 double ParseSeconds(const std::string& text, double fallback) {
@@ -117,7 +70,7 @@ std::string HexRange(const service::FingerprintRange& range) {
 }
 
 /// Parses "HEX-HEX" (1..16 hex digits each side, first <= last) — the wire
-/// form of a fingerprint hi-range, matching the rendering in /v1/stats.
+/// form of a fingerprint hi-range, matching HexRange.
 bool ParseHexRange(const std::string& text, service::FingerprintRange* out) {
   size_t dash = text.find('-');
   if (dash == std::string::npos || dash == 0 || dash + 1 >= text.size()) {
@@ -192,6 +145,74 @@ service::FingerprintRange CoveringRange(const ShardState& state) {
   return covering;
 }
 
+/// One resolved JobResult as a JSON object, vertex and edge names as the
+/// caller sent them.
+std::string RenderResult(const service::JobResult& job, const Hypergraph& graph,
+                         bool include_decomposition) {
+  std::string body = "{";
+  body += "\"outcome\": \"" + std::string(OutcomeName(job.result.outcome)) + "\"";
+  if (job.result.decomposition.has_value()) {
+    body += ", \"width\": " + std::to_string(job.result.decomposition->Width());
+  }
+  body += std::string(", \"cache_hit\": ") + (job.cache_hit ? "true" : "false");
+  body += std::string(", \"deduplicated\": ") +
+          (job.deduplicated ? "true" : "false");
+  body += ", \"seconds\": " + std::to_string(job.seconds);
+  body += ", \"threads_used\": " + std::to_string(job.threads_used);
+  body += ", \"fingerprint\": \"" + job.fingerprint.ToHex() + "\"";
+  if (include_decomposition && job.result.decomposition.has_value()) {
+    body += ", \"decomposition\": " +
+            WriteDecompositionJson(graph, *job.result.decomposition);
+  }
+  body += "}";
+  return body;
+}
+
+/// One QueryAnswer as a JSON object (docs/QUERIES.md).
+std::string RenderQueryAnswer(const qa::QueryAnswer& answer) {
+  std::string body = "{";
+  body += "\"outcome\": \"" +
+          std::string(qa::QueryOutcomeName(answer.outcome)) + "\"";
+  if (answer.outcome == qa::QueryOutcome::kSatisfiable) {
+    // Witness keys are rendered sorted so the body is deterministic.
+    std::vector<std::pair<std::string, int64_t>> vars(answer.witness.begin(),
+                                                      answer.witness.end());
+    std::sort(vars.begin(), vars.end());
+    body += ", \"witness\": {";
+    bool first = true;
+    for (const auto& [var, value] : vars) {
+      if (!first) body += ", ";
+      first = false;
+      body += "\"" + JsonEscape(var) + "\": " + std::to_string(value);
+    }
+    body += "}";
+  }
+  if (answer.counted) {
+    body += ", \"count\": " + std::to_string(answer.count.value);
+    body += std::string(", \"count_saturated\": ") +
+            (answer.count.saturated ? "true" : "false");
+  }
+  if (answer.portfolio_size > 0) {
+    body += ", \"width\": " + std::to_string(answer.width);
+    body += ", \"fractional_width\": " +
+            std::to_string(answer.fractional_width);
+    body += ", \"estimated_cost\": " + std::to_string(answer.estimated_cost);
+    body += ", \"portfolio\": {\"picked\": " +
+            std::to_string(answer.picked_index) +
+            ", \"size\": " + std::to_string(answer.portfolio_size) + "}";
+  }
+  body += ", \"fingerprint\": \"" + answer.fingerprint.ToHex() + "\"";
+  body += std::string(", \"cache_hit\": ") +
+          (answer.decompose_cache_hit ? "true" : "false");
+  body += ", \"probes\": " + std::to_string(answer.probes);
+  body += ", \"decompose_seconds\": " +
+          std::to_string(answer.decompose_seconds);
+  body += ", \"pick_seconds\": " + std::to_string(answer.pick_seconds);
+  body += ", \"execute_seconds\": " + std::to_string(answer.execute_seconds);
+  body += "}";
+  return body;
+}
+
 }  // namespace
 
 DecompositionServer::DecompositionServer(DecompositionServerOptions options)
@@ -230,17 +251,12 @@ util::StatusOr<std::unique_ptr<DecompositionServer>> DecompositionServer::Create
   }
   std::optional<service::ShardEndpoint> ae_self;
   if (!options.anti_entropy_self.empty()) {
-    const std::string& self_text = options.anti_entropy_self;
-    size_t colon = self_text.rfind(':');
-    long self_port;
-    if (colon == std::string::npos || colon == 0 ||
-        !util::ParseIntFlag(self_text.substr(colon + 1), 1, 65535,
-                            &self_port)) {
-      return util::Status::InvalidArgument(
-          "anti_entropy_self must be host:port, got \"" + self_text + "\"");
+    auto parsed = service::ShardEndpoint::Parse(options.anti_entropy_self);
+    if (!parsed.ok()) {
+      return util::Status::InvalidArgument("anti_entropy_self: " +
+                                           parsed.status().message());
     }
-    ae_self = service::ShardEndpoint{self_text.substr(0, colon),
-                                     static_cast<int>(self_port)};
+    ae_self = std::move(*parsed);
   }
   // One Retry-After story for both shedding layers (queue bound here,
   // connection bound in the transport).
@@ -288,6 +304,7 @@ util::StatusOr<std::unique_ptr<DecompositionServer>> DecompositionServer::Create
         return raw->Handle(request);
       });
   server->BindMetrics();
+  server->BindRoutes();
   return server;
 }
 
@@ -347,21 +364,73 @@ void DecompositionServer::BindMetrics() {
       [this] { return static_cast<double>(http_->accept_failures()); });
   metrics.SetHelp("htd_connections",
                   "Live connections by state on the epoll loop ring.");
-  metrics.RegisterCallback("htd_connections", "state=\"idle\"", "gauge", [this] {
-    return static_cast<double>(http_->connection_counts().idle);
+  using Counts = HttpServer::ConnectionCounts;
+  for (const auto& [state, count] :
+       {std::pair{"idle", &Counts::idle}, std::pair{"reading", &Counts::reading},
+        std::pair{"dispatched", &Counts::dispatched},
+        std::pair{"writing", &Counts::writing}}) {
+    metrics.RegisterCallback(
+        "htd_connections", std::string("state=\"") + state + "\"", "gauge",
+        [this, count] {
+          return static_cast<double>(http_->connection_counts().*count);
+        });
+  }
+  metrics.SetHelp("htd_restored_entries",
+                  "Warm-state entries restored from the snapshot at startup "
+                  "(cache, store) and entries dropped as outside this "
+                  "shard's range.");
+  using Restored = service::SnapshotStats;
+  for (const auto& [kind, count] :
+       {std::pair{"cache", &Restored::cache_entries},
+        std::pair{"store", &Restored::store_entries},
+        std::pair{"dropped_out_of_range", &Restored::dropped_out_of_range}}) {
+    metrics.RegisterCallback(
+        "htd_restored_entries", std::string("kind=\"") + kind + "\"", "gauge",
+        [this, count] { return static_cast<double>(restored_.*count); });
+  }
+  metrics.SetHelp("htd_shard_index",
+                  "The fingerprint range this backend serves; -1 unsharded.");
+  metrics.RegisterCallback("htd_shard_index", "", "gauge", [this] {
+    auto shard = shard_state();
+    return shard != nullptr ? static_cast<double>(shard->index) : -1.0;
   });
-  metrics.RegisterCallback(
-      "htd_connections", "state=\"reading\"", "gauge",
-      [this] { return static_cast<double>(http_->connection_counts().reading); });
-  metrics.RegisterCallback("htd_connections", "state=\"dispatched\"", "gauge",
-                           [this] {
-                             return static_cast<double>(
-                                 http_->connection_counts().dispatched);
-                           });
-  metrics.RegisterCallback(
-      "htd_connections", "state=\"writing\"", "gauge",
-      [this] { return static_cast<double>(http_->connection_counts().writing); });
+  metrics.SetHelp("htd_shard_transitioning",
+                  "1 while a live reshard is in flight on this backend.");
+  metrics.RegisterCallback("htd_shard_transitioning", "", "gauge", [this] {
+    auto shard = shard_state();
+    return shard != nullptr && shard->transitioning() ? 1.0 : 0.0;
+  });
   metrics.SetHelp("htd_request_seconds", "HTTP request latency by route.");
+}
+
+void DecompositionServer::BindRoutes() {
+  using Self = DecompositionServer;
+  auto bind = [this](auto handler) { return std::bind_front(handler, this); };
+  auto traced = [this](TracedHandler handler) {
+    return std::bind_front(&Self::Traced, this, handler);
+  };
+  routes_ = std::make_unique<RouteTable>(
+      std::vector<Route>{
+          {nullptr, "/healthz", "healthz",
+           [](const HttpRequest&) {
+             HttpResponse response;
+             response.body = "{\"ok\": true}\n";
+             return response;
+           }},
+          {"POST", "/v1/decompose", "decompose", traced(&Self::HandleDecompose)},
+          {"POST", "/v1/query", "query", traced(&Self::HandleQuery)},
+          {"GET", "/v1/jobs/", "jobs", bind(&Self::HandleJob)},
+          {"GET", "/v1/metrics", "metrics", bind(&Self::HandleMetrics)},
+          {"GET", "/v1/trace", "trace", HandleTrace},
+          {"POST", "/v1/admin/snapshot", "admin", bind(&Self::HandleSnapshot)},
+          {"GET", "/v1/admin/export", "admin", bind(&Self::HandleExport)},
+          {"POST", "/v1/admin/import", "admin", bind(&Self::HandleImport)},
+          {"POST", "/v1/admin/migrate", "admin", bind(&Self::HandleMigrate)},
+          {"GET", "/v1/admin/digest", "admin", bind(&Self::HandleDigest)},
+          {"POST", "/v1/admin/antientropy", "admin",
+           bind(&Self::HandleAntiEntropy)},
+      },
+      service_->metrics(), "htd_request_seconds");
 }
 
 DecompositionServer::~DecompositionServer() { Stop(); }
@@ -487,155 +556,54 @@ util::StatusOr<service::SnapshotStats> DecompositionServer::SaveSnapshotNow() {
                                CurrentConfigDigest(), range);
 }
 
-HttpResponse DecompositionServer::Handle(const HttpRequest& request) {
-  util::WallTimer timer;
-  HttpResponse response = Dispatch(request);
-  service_->metrics()
-      .GetHistogram("htd_request_seconds",
-                    std::string("route=\"") + RouteLabel(request.path) + "\"")
-      .Observe(timer.ElapsedSeconds());
+HttpResponse DecompositionServer::Traced(TracedHandler handler,
+                                         const HttpRequest& request) {
+  // Adopt the request id when a proxy (the shard router) already assigned
+  // one — the fleet's spans then stitch onto one root — else mint our own.
+  uint64_t request_id = 0;
+  auto rid = request.headers.find("x-htd-request-id");
+  if (rid == request.headers.end() ||
+      !util::ParseTraceId(rid->second, &request_id)) {
+    request_id = util::TraceRegistry::Instance().NextId();
+  }
+  std::string server_timing;
+  HttpResponse response;
+  {
+    util::TraceScope root_span("request", util::TraceRootId{request_id},
+                               static_cast<uint64_t>(request.body.size()));
+    response = (this->*handler)(request, request_id, &server_timing);
+  }
+  response.headers.emplace_back("X-HTD-Request-Id",
+                                util::TraceIdHex(request_id));
+  if (!server_timing.empty()) {
+    response.headers.emplace_back("Server-Timing", server_timing);
+  }
   return response;
 }
 
-HttpResponse DecompositionServer::Dispatch(const HttpRequest& request) {
-  if (request.path == "/healthz") {
-    HttpResponse response;
-    response.body = "{\"ok\": true}\n";
-    return response;
+std::optional<HttpResponse> DecompositionServer::RefuseForeignDigest(
+    const ShardState& shard, const HttpRequest& request) {
+  auto digest = request.headers.find("x-htd-shard-digest");
+  if (digest == request.headers.end() ||
+      DigestAccepted(shard, digest->second)) {
+    return std::nullopt;
   }
-  if (request.path == "/v1/decompose") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/decompose");
-    }
-    // Adopt the request id when a proxy (the shard router) already assigned
-    // one — the fleet's spans then stitch onto one root — else mint our own.
-    uint64_t request_id = 0;
-    auto rid = request.headers.find("x-htd-request-id");
-    if (rid == request.headers.end() ||
-        !util::ParseTraceId(rid->second, &request_id)) {
-      request_id = util::TraceRegistry::Instance().NextId();
-    }
-    std::string server_timing;
-    HttpResponse response;
-    {
-      util::TraceScope root_span("request", util::TraceRootId{request_id},
-                                 static_cast<uint64_t>(request.body.size()));
-      response = HandleDecompose(request, request_id, &server_timing);
-    }
-    response.headers.emplace_back("X-HTD-Request-Id",
-                                  util::TraceIdHex(request_id));
-    if (!server_timing.empty()) {
-      response.headers.emplace_back("Server-Timing", server_timing);
-    }
-    return response;
-  }
-  if (request.path == "/v1/query") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/query");
-    }
-    uint64_t request_id = 0;
-    auto rid = request.headers.find("x-htd-request-id");
-    if (rid == request.headers.end() ||
-        !util::ParseTraceId(rid->second, &request_id)) {
-      request_id = util::TraceRegistry::Instance().NextId();
-    }
-    std::string server_timing;
-    HttpResponse response;
-    {
-      util::TraceScope root_span("request", util::TraceRootId{request_id},
-                                 static_cast<uint64_t>(request.body.size()));
-      response = HandleQuery(request, request_id, &server_timing);
-    }
-    response.headers.emplace_back("X-HTD-Request-Id",
-                                  util::TraceIdHex(request_id));
-    if (!server_timing.empty()) {
-      response.headers.emplace_back("Server-Timing", server_timing);
-    }
-    return response;
-  }
-  if (request.path.rfind("/v1/jobs/", 0) == 0) {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/jobs/<id>");
-    }
-    const std::string id = request.path.substr(sizeof("/v1/jobs/") - 1);
-    if (!id.empty() && id[0] == 'q') return HandleQueryJob(id);
-    return HandleJob(id);
-  }
-  if (request.path == "/v1/stats") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/stats");
-    }
-    return HandleStats();
-  }
-  if (request.path == "/v1/metrics") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/metrics");
-    }
-    return HandleMetrics();
-  }
-  if (request.path == "/v1/trace") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/trace");
-    }
-    return HandleTrace(request);
-  }
-  if (request.path == "/v1/admin/snapshot") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/admin/snapshot");
-    }
-    return HandleSnapshot();
-  }
-  if (request.path == "/v1/admin/export") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/admin/export");
-    }
-    return HandleExport(request);
-  }
-  if (request.path == "/v1/admin/import") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/admin/import");
-    }
-    return HandleImport(request);
-  }
-  if (request.path == "/v1/admin/migrate") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/admin/migrate");
-    }
-    return HandleMigrate(request);
-  }
-  if (request.path == "/v1/admin/digest") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/admin/digest");
-    }
-    return HandleDigest(request);
-  }
-  if (request.path == "/v1/admin/antientropy") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/admin/antientropy");
-    }
-    return HandleAntiEntropy();
-  }
-  return ErrorResponse(404, "unknown route: " + request.path);
+  misrouted_->Add();
+  return ErrorResponse(
+      421, "shard map digest mismatch: this shard is " +
+               std::to_string(shard.index) + "/" +
+               std::to_string(shard.map.num_shards()) + " of " +
+               shard.map.Serialise() + " (digest " + shard.digest_hex +
+               (shard.transitioning()
+                    ? ", transitioning to " + shard.new_digest_hex
+                    : "") +
+               "); request was routed by digest " + digest->second);
 }
 
-HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
-                                                  uint64_t request_id,
-                                                  std::string* server_timing) {
-  int k = ParseInt(request.QueryOr("k", ""));
-  if (k < 1 || k > options_.max_k) {
-    bad_requests_->Add();
-    return ErrorResponse(
-        400, "query parameter k must be an integer in [1, " +
-                 std::to_string(options_.max_k) + "]");
-  }
-  double timeout = ParseSeconds(request.QueryOr("timeout", ""),
-                                service_->options().default_timeout_seconds);
-  if (timeout < 0) {
-    bad_requests_->Add();
-    return ErrorResponse(400, "query parameter timeout must be seconds >= 0");
-  }
-  const bool async = request.QueryOr("async", "0") == "1";
-  const bool include_decomposition = request.QueryOr("decomposition", "0") == "1";
+template <typename Body>
+std::optional<HttpResponse> DecompositionServer::Admit(
+    const HttpRequest& request, uint64_t request_id,
+    typename Body::Parsed* body, double* parse_seconds) {
   // In a sharded deployment, a sender that hashed against a different
   // topology must be told so, not silently served — an entry cached here
   // under a foreign range would never be found again after its snapshot is
@@ -646,22 +614,8 @@ HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
   auto shard = shard_state();
   bool sender_hashed = false;
   if (shard != nullptr) {
-    auto digest = request.headers.find("x-htd-shard-digest");
-    if (digest != request.headers.end()) {
-      if (!DigestAccepted(*shard, digest->second)) {
-        misrouted_->Add();
-        return ErrorResponse(
-            421, "shard map digest mismatch: this shard is " +
-                     std::to_string(shard->index) + "/" +
-                     std::to_string(shard->map.num_shards()) + " of " +
-                     shard->map.Serialise() + " (digest " + shard->digest_hex +
-                     (shard->transitioning()
-                          ? ", transitioning to " + shard->new_digest_hex
-                          : "") +
-                     "); request was routed by digest " + digest->second);
-      }
-      sender_hashed = true;
-    }
+    if (auto refused = RefuseForeignDigest(*shard, request)) return refused;
+    sender_hashed = request.headers.count("x-htd-shard-digest") != 0;
     auto fp_header = request.headers.find("x-htd-shard-fingerprint");
     if (fp_header != request.headers.end()) {
       service::Fingerprint fp;
@@ -682,8 +636,7 @@ HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
   }
   if (request.body.empty()) {
     bad_requests_->Add();
-    return ErrorResponse(400, "empty body: expected a hypergraph in "
-                              "HyperBench or PACE format");
+    return ErrorResponse(400, Body::kEmpty);
   }
 
   // Shedding comes BEFORE the body parse: an overloaded server must reject
@@ -698,12 +651,11 @@ HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
   if (TotalOutstandingJobs() >=
       static_cast<uint64_t>(options_.max_queue_depth)) {
     shed_->Add();
-    HttpResponse response = ErrorResponse(
-        429, "queue full: " + std::to_string(options_.max_queue_depth) +
-                 " jobs outstanding; retry later");
-    response.headers.emplace_back("Retry-After",
-                                  std::to_string(options_.retry_after_seconds));
-    return response;
+    return RetryLaterResponse(
+        429,
+        "queue full: " + std::to_string(options_.max_queue_depth) +
+            " jobs outstanding; retry later",
+        options_.retry_after_seconds);
   }
 
   // The parse stage is timed unconditionally (histogram) and recorded as a
@@ -713,14 +665,13 @@ HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
   auto parsed = [&] {
     util::TraceScope span("parse", util::TraceParent{request_id, request_id},
                           static_cast<uint64_t>(request.body.size()));
-    return ParseAuto(request.body);
+    return Body::Parse(request.body);
   }();
-  const double parse_seconds = parse_timer.ElapsedSeconds();
-  service_->ObserveParseSeconds(parse_seconds);
+  *parse_seconds = parse_timer.ElapsedSeconds();
+  service_->ObserveParseSeconds(*parse_seconds);
   if (!parsed.ok()) {
     bad_requests_->Add();
-    return ErrorResponse(400, "cannot parse hypergraph: " +
-                                  parsed.status().message());
+    return ErrorResponse(400, parsed.status().message());
   }
   if (shard != nullptr && !sender_hashed) {
     // The sender did not prove it hashed with an accepted map (no digest
@@ -733,24 +684,51 @@ HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
     // digest matches, the sender demonstrably ran IndexFor on an accepted
     // topology; recomputing here would double-pay canonicalisation on
     // every routed request.)
-    const service::Fingerprint fp = service::CanonicalFingerprint(*parsed);
+    const service::Fingerprint fp = Body::Fingerprint(*parsed);
     if (!RangeAccepted(*shard, fp)) {
       misrouted_->Add();
       return ErrorResponse(
-          421, "misrouted: instance fingerprint " + fp.ToHex() +
-                   " belongs to shard " +
+          421, "misrouted: fingerprint " + fp.ToHex() + " belongs to shard " +
                    std::to_string(shard->map.IndexFor(fp)) +
                    ", this is shard " + std::to_string(shard->index) +
                    " (route via the shard map)");
     }
   }
-
-  auto graph = std::make_shared<const Hypergraph>(std::move(*parsed));
   admitted_->Add();
+  *body = std::move(*parsed);
+  return std::nullopt;
+}
+
+HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
+                                                  uint64_t request_id,
+                                                  std::string* server_timing) {
+  long k;
+  if (!util::ParseIntFlag(request.QueryOr("k", ""), 1, options_.max_k, &k)) {
+    bad_requests_->Add();
+    return ErrorResponse(
+        400, "query parameter k must be an integer in [1, " +
+                 std::to_string(options_.max_k) + "]");
+  }
+  double timeout = ParseSeconds(request.QueryOr("timeout", ""),
+                                service_->options().default_timeout_seconds);
+  if (timeout < 0) {
+    bad_requests_->Add();
+    return ErrorResponse(400, "query parameter timeout must be seconds >= 0");
+  }
+  const bool async = request.QueryOr("async", "0") == "1";
+  const bool include_decomposition = request.QueryOr("decomposition", "0") == "1";
+  Hypergraph parsed;
+  double parse_seconds = 0;
+  if (auto refused = Admit<DecomposeBody>(request, request_id, &parsed,
+                                          &parse_seconds)) {
+    return *refused;
+  }
+
+  auto graph = std::make_shared<const Hypergraph>(std::move(parsed));
   // Sync requests ride the executor's interactive lane (a client is parked
   // on the answer); polled async jobs take the lower-priority async lane.
   std::future<service::JobResult> future = service_->Submit(
-      *graph, k, timeout, util::TraceParent{request_id, request_id},
+      *graph, static_cast<int>(k), timeout, util::TraceParent{request_id, request_id},
       async ? util::Executor::Lane::kAsync : util::Executor::Lane::kSync);
 
   if (!async) {
@@ -760,73 +738,32 @@ HttpResponse DecompositionServer::HandleDecompose(const HttpRequest& request,
     {
       util::TraceScope span("serialise",
                             util::TraceParent{request_id, request_id});
-      response.body = RenderResult(job, *graph, include_decomposition);
+      response.body = RenderResult(job, *graph, include_decomposition) + "\n";
     }
     const double serialise_seconds = serialise_timer.ElapsedSeconds();
     service_->ObserveSerialiseSeconds(serialise_seconds);
-    if (server_timing != nullptr) {
-      *server_timing =
-          StageTimingHeader(parse_seconds, job.stages, serialise_seconds);
-    }
+    *server_timing = ServerTiming({{"parse", parse_seconds},
+                                   {"fingerprint", job.stages.fingerprint_seconds},
+                                   {"cache", job.stages.cache_seconds},
+                                   {"schedule", job.stages.schedule_seconds},
+                                   {"solve", job.stages.solve_seconds},
+                                   {"serialise", serialise_seconds}});
     return response;
   }
 
-  const std::string id = "j" + std::to_string(
-      next_job_id_.fetch_add(1, std::memory_order_relaxed));
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    AsyncJob record;
-    record.future = future.share();
-    record.graph = graph;
-    record.k = k;
-    record.include_decomposition = include_decomposition;
-    jobs_.emplace(id, std::move(record));
-    job_order_.push_back(id);
-    // Evict the oldest *resolved* records over the retention cap; unresolved
-    // jobs stay queryable (their count is bounded by admission control).
-    for (auto it = job_order_.begin();
-         jobs_.size() > options_.max_retained_jobs && it != job_order_.end();) {
-      auto found = jobs_.find(*it);
-      if (found != jobs_.end() &&
-          found->second.future.wait_for(std::chrono::seconds(0)) ==
-              std::future_status::ready) {
-        jobs_.erase(found);
-        it = job_order_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  HttpResponse response;
-  response.status = 202;
-  response.body = "{\"job\": \"" + id + "\", \"state\": \"admitted\"}\n";
-  return response;
-}
-
-HttpResponse DecompositionServer::HandleJob(const std::string& id) {
-  AsyncJob record;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      return ErrorResponse(404, "unknown job id: " + id);
-    }
-    record = it->second;  // shared_future/shared_ptr copies are cheap
-  }
-  if (record.future.wait_for(std::chrono::seconds(0)) !=
-      std::future_status::ready) {
-    HttpResponse response;
-    response.body = "{\"job\": \"" + id + "\", \"state\": \"running\"}\n";
-    return response;
-  }
-  const service::JobResult& job = record.future.get();
-  HttpResponse response;
-  response.body = "{\"job\": \"" + id + "\", \"state\": \"done\", \"result\": " +
-                  RenderResult(job, *record.graph, record.include_decomposition);
-  // RenderResult ends with '\n'; splice the wrapper's closing brace in.
-  response.body.back() = '}';
-  response.body += "\n";
-  return response;
+  // The graph is kept so a later GET renders the decomposition in the
+  // caller's vertex and edge names.
+  std::shared_future<service::JobResult> shared = future.share();
+  return AcceptJob(
+      'j', AsyncJob{[shared] {
+                      return shared.wait_for(std::chrono::seconds(0)) ==
+                             std::future_status::ready;
+                    },
+                    [shared, graph, include_decomposition] {
+                      return "\"result\": " +
+                             RenderResult(shared.get(), *graph,
+                                          include_decomposition);
+                    }});
 }
 
 HttpResponse DecompositionServer::HandleQuery(const HttpRequest& request,
@@ -846,100 +783,15 @@ HttpResponse DecompositionServer::HandleQuery(const HttpRequest& request,
   }
   std::optional<bool> count_override;
   if (!count_param.empty()) count_override = count_param == "1";
-
-  // Shard admission mirrors /v1/decompose: ownership is decided by the
-  // fingerprint of the QUERY'S HYPERGRAPH, so the decomposition state a
-  // query warms lands on the shard that will be asked for it again.
-  auto shard = shard_state();
-  bool sender_hashed = false;
-  if (shard != nullptr) {
-    auto digest = request.headers.find("x-htd-shard-digest");
-    if (digest != request.headers.end()) {
-      if (!DigestAccepted(*shard, digest->second)) {
-        misrouted_->Add();
-        return ErrorResponse(
-            421, "shard map digest mismatch: this shard is " +
-                     std::to_string(shard->index) + "/" +
-                     std::to_string(shard->map.num_shards()) + " of " +
-                     shard->map.Serialise() + " (digest " + shard->digest_hex +
-                     (shard->transitioning()
-                          ? ", transitioning to " + shard->new_digest_hex
-                          : "") +
-                     "); request was routed by digest " + digest->second);
-      }
-      sender_hashed = true;
-    }
-    auto fp_header = request.headers.find("x-htd-shard-fingerprint");
-    if (fp_header != request.headers.end()) {
-      service::Fingerprint fp;
-      if (!service::Fingerprint::FromHex(fp_header->second, &fp)) {
-        bad_requests_->Add();
-        return ErrorResponse(400,
-                             "x-htd-shard-fingerprint must be 32 hex digits");
-      }
-      if (!RangeAccepted(*shard, fp)) {
-        misrouted_->Add();
-        return ErrorResponse(
-            421, "misrouted: fingerprint " + fp_header->second +
-                     " is outside shard " + std::to_string(shard->index) +
-                     "'s range");
-      }
-    } else {
-      sender_hashed = false;  // a digest without a fingerprint proves nothing
-    }
+  qa::QueryRequest parsed;
+  double parse_seconds = 0;
+  if (auto refused =
+          Admit<QueryBody>(request, request_id, &parsed, &parse_seconds)) {
+    return *refused;
   }
-  if (request.body.empty()) {
-    bad_requests_->Add();
-    return ErrorResponse(400, "empty body: expected an HTDQUERY1 query "
-                              "request (docs/QUERIES.md)");
-  }
-
-  // Same shed-before-parse ordering as /v1/decompose: refuse in O(1).
-  if (stopping_.load(std::memory_order_acquire)) {
-    return ErrorResponse(503, "server is shutting down");
-  }
-  if (TotalOutstandingJobs() >=
-      static_cast<uint64_t>(options_.max_queue_depth)) {
-    shed_->Add();
-    HttpResponse response = ErrorResponse(
-        429, "queue full: " + std::to_string(options_.max_queue_depth) +
-                 " jobs outstanding; retry later");
-    response.headers.emplace_back("Retry-After",
-                                  std::to_string(options_.retry_after_seconds));
-    return response;
-  }
-
-  util::WallTimer parse_timer;
-  auto parsed = [&] {
-    util::TraceScope span("parse", util::TraceParent{request_id, request_id},
-                          static_cast<uint64_t>(request.body.size()));
-    return qa::ParseQueryRequest(request.body);
-  }();
-  const double parse_seconds = parse_timer.ElapsedSeconds();
-  service_->ObserveParseSeconds(parse_seconds);
-  if (!parsed.ok()) {
-    bad_requests_->Add();
-    return ErrorResponse(400, "cannot parse query request: " +
-                                  parsed.status().message());
-  }
-  if (shard != nullptr && !sender_hashed) {
-    // Unhashed sender: enforce the range on our own canonicalisation of the
-    // query hypergraph (same reasoning as HandleDecompose).
-    const service::Fingerprint fp =
-        service::CanonicalFingerprint(cq::QueryHypergraph(parsed->query));
-    if (!RangeAccepted(*shard, fp)) {
-      misrouted_->Add();
-      return ErrorResponse(
-          421, "misrouted: query fingerprint " + fp.ToHex() +
-                   " belongs to shard " + std::to_string(shard->map.IndexFor(fp)) +
-                   ", this is shard " + std::to_string(shard->index) +
-                   " (route via the shard map)");
-    }
-  }
-  admitted_->Add();
 
   if (!async) {
-    auto answer = query_engine_->Answer(parsed->query, parsed->db, timeout,
+    auto answer = query_engine_->Answer(parsed.query, parsed.db, timeout,
                                         util::TraceParent{request_id, request_id},
                                         count_override);
     if (!answer.ok()) {
@@ -954,27 +806,30 @@ HttpResponse DecompositionServer::HandleQuery(const HttpRequest& request,
     {
       util::TraceScope span("serialise",
                             util::TraceParent{request_id, request_id});
-      response.body = RenderQueryAnswer(*answer);
+      response.body = RenderQueryAnswer(*answer) + "\n";
     }
     const double serialise_seconds = serialise_timer.ElapsedSeconds();
     service_->ObserveSerialiseSeconds(serialise_seconds);
-    if (server_timing != nullptr) {
-      *server_timing =
-          QueryTimingHeader(parse_seconds, *answer, serialise_seconds);
-    }
+    *server_timing = ServerTiming({{"parse", parse_seconds},
+                                   {"decompose", answer->decompose_seconds},
+                                   {"pick", answer->pick_seconds},
+                                   {"execute", answer->execute_seconds},
+                                   {"serialise", serialise_seconds}});
     return response;
   }
 
-  // Async: "q<N>". The answer runs as a background-lane task on the
-  // fleet-wide executor (see the AsyncQueryJob comment in the header); the
-  // outstanding counter makes it visible to the 429 bound and lets Stop()
-  // wait the task out. The decrement is the task's last touch of `this`.
-  const std::string id = "q" + std::to_string(next_job_id_.fetch_add(
-                                   1, std::memory_order_relaxed));
-  auto shared_request = std::make_shared<qa::QueryRequest>(std::move(*parsed));
+  // The answer runs as a background-lane task on the fleet-wide executor.
+  // QueryEngine::Answer blocks on probe flights served by the same
+  // executor, which is safe because a worker running Answer helps execute
+  // sync/async-lane work while it waits (Executor::HelpWhileWaiting) — and
+  // the background lane itself is excluded from helping, so query jobs
+  // cannot recursively stack. The outstanding counter makes the job
+  // visible to the 429 bound and lets Stop() wait the task out; its
+  // decrement is the task's last touch of `this`.
+  auto shared_request = std::make_shared<qa::QueryRequest>(std::move(parsed));
   auto promise =
       std::make_shared<std::promise<util::StatusOr<qa::QueryAnswer>>>();
-  std::shared_future<util::StatusOr<qa::QueryAnswer>> future =
+  std::shared_future<util::StatusOr<qa::QueryAnswer>> shared =
       promise->get_future().share();
   outstanding_query_jobs_.fetch_add(1, std::memory_order_acq_rel);
   service_->executor().Submit(
@@ -990,20 +845,37 @@ HttpResponse DecompositionServer::HandleQuery(const HttpRequest& request,
         outstanding_query_jobs_.fetch_sub(1, std::memory_order_acq_rel);
       },
       util::Executor::Lane::kBackground);
+  return AcceptJob(
+      'q', AsyncJob{[shared] {
+                      return shared.wait_for(std::chrono::seconds(0)) ==
+                             std::future_status::ready;
+                    },
+                    [shared] {
+                      const util::StatusOr<qa::QueryAnswer>& answer =
+                          shared.get();
+                      if (!answer.ok()) {
+                        return "\"error\": \"" +
+                               JsonEscape(answer.status().message()) + "\"";
+                      }
+                      return "\"result\": " + RenderQueryAnswer(*answer);
+                    }});
+}
+
+HttpResponse DecompositionServer::AcceptJob(char kind, AsyncJob job) {
+  const std::string id =
+      kind + std::to_string(next_job_id_.fetch_add(1, std::memory_order_relaxed));
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
-    query_jobs_.emplace(id, AsyncQueryJob{future});
-    query_job_order_.push_back(id);
-    // Same resolved-only eviction policy as decompose jobs.
-    for (auto it = query_job_order_.begin();
-         query_jobs_.size() > options_.max_retained_jobs &&
-         it != query_job_order_.end();) {
-      auto found = query_jobs_.find(*it);
-      if (found != query_jobs_.end() &&
-          found->second.future.wait_for(std::chrono::seconds(0)) ==
-              std::future_status::ready) {
-        query_jobs_.erase(found);
-        it = query_job_order_.erase(it);
+    jobs_.emplace(id, std::move(job));
+    job_order_.push_back(id);
+    // Evict the oldest *resolved* records over the retention cap; unresolved
+    // jobs stay queryable (their count is bounded by admission control).
+    for (auto it = job_order_.begin();
+         jobs_.size() > kMaxRetainedJobs && it != job_order_.end();) {
+      auto found = jobs_.find(*it);
+      if (found->second.resolved()) {
+        jobs_.erase(found);
+        it = job_order_.erase(it);
       } else {
         ++it;
       }
@@ -1015,163 +887,32 @@ HttpResponse DecompositionServer::HandleQuery(const HttpRequest& request,
   return response;
 }
 
-HttpResponse DecompositionServer::HandleQueryJob(const std::string& id) {
-  AsyncQueryJob record;
+HttpResponse DecompositionServer::HandleJob(const HttpRequest& request) {
+  const std::string id = request.path.substr(sizeof("/v1/jobs/") - 1);
+  AsyncJob job;
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
-    auto it = query_jobs_.find(id);
-    if (it == query_jobs_.end()) {
+    auto it = jobs_.find(id);
+    if (it == jobs_.end()) {
       return ErrorResponse(404, "unknown job id: " + id);
     }
-    record = it->second;
+    job = it->second;  // copies of shared futures and pointers are cheap
   }
-  if (record.future.wait_for(std::chrono::seconds(0)) !=
-      std::future_status::ready) {
-    HttpResponse response;
-    response.body = "{\"job\": \"" + id + "\", \"state\": \"running\"}\n";
-    return response;
-  }
-  const util::StatusOr<qa::QueryAnswer>& answer = record.future.get();
   HttpResponse response;
-  if (!answer.ok()) {
-    response.body = "{\"job\": \"" + id + "\", \"state\": \"done\", "
-                    "\"error\": \"" +
-                    JsonEscape(answer.status().message()) + "\"}\n";
-    return response;
-  }
-  response.body = "{\"job\": \"" + id + "\", \"state\": \"done\", \"result\": " +
-                  RenderQueryAnswer(*answer);
-  response.body.back() = '}';
-  response.body += "\n";
+  response.body = "{\"job\": \"" + id + "\", \"state\": " +
+                  (job.resolved() ? "\"done\", " + job.render() + "}\n"
+                                  : std::string("\"running\"}\n"));
   return response;
 }
 
-HttpResponse DecompositionServer::HandleStats() {
-  // One registry snapshot: every counter is sampled exactly once, in an
-  // order where derived counts precede the totals bounding them. The old
-  // field-by-field sampling could catch a migration or fan-out mid-update
-  // and report, e.g., more cache hits than submissions in one poll.
-  std::map<std::string, double> sampled;
-  for (const util::MetricSample& sample : service_->metrics().Snapshot()) {
-    sampled[sample.labels.empty() ? sample.name
-                                  : sample.name + "{" + sample.labels + "}"] =
-        sample.value;
-  }
-  auto count = [&](const std::string& key) {
-    auto it = sampled.find(key);
-    return std::to_string(
-        static_cast<uint64_t>(it == sampled.end() ? 0.0 : it->second));
-  };
-  auto shard = shard_state();
-
-  std::string body = "{";
-  body += "\"scheduler\": {";
-  body += "\"submitted\": " + count("htd_scheduler_submitted_total");
-  body += ", \"solves\": " + count("htd_scheduler_solves_total");
-  body += ", \"dedup_joins\": " + count("htd_scheduler_dedup_joins_total");
-  body += ", \"cache_hits\": " + count("htd_scheduler_cache_hits_total");
-  body += ", \"completed\": " + count("htd_scheduler_completed_total");
-  body += ", \"queue_depth\": " + count("htd_queue_depth");
-  body += ", \"outstanding\": " + count("htd_outstanding_jobs");
-  body += "}, \"cache\": {";
-  body += "\"hits\": " + count("htd_cache_hits_total");
-  body += ", \"misses\": " + count("htd_cache_misses_total");
-  body += ", \"insertions\": " + count("htd_cache_insertions_total");
-  body += ", \"evictions\": " + count("htd_cache_evictions_total");
-  body += ", \"entries\": " + count("htd_cache_entries");
-  body += ", \"capacity\": " + count("htd_cache_capacity");
-  body += "}, \"subproblem_store\": {";
-  body += "\"enabled\": " +
-          std::string(service_->options().enable_subproblem_store ? "true" : "false");
-  body += ", \"probes\": " + count("htd_store_probes_total");
-  body += ", \"negative_hits\": " + count("htd_store_negative_hits_total");
-  body += ", \"positive_hits\": " + count("htd_store_positive_hits_total");
-  body += ", \"entries\": " + count("htd_store_entries");
-  body += ", \"bytes\": " + count("htd_store_bytes");
-  body += "}, \"admission\": {";
-  body += "\"admitted\": " +
-          count("htd_admission_requests_total{result=\"admitted\"}");
-  body += ", \"shed\": " + count("htd_admission_requests_total{result=\"shed\"}");
-  body += ", \"connections_shed\": " + count("htd_connections_shed_total");
-  body += ", \"bad_requests\": " +
-          count("htd_admission_requests_total{result=\"bad_request\"}");
-  body += ", \"misrouted\": " +
-          count("htd_admission_requests_total{result=\"misrouted\"}");
-  body += ", \"max_queue_depth\": " + std::to_string(options_.max_queue_depth);
-  body += ", \"max_connections\": " + std::to_string(options_.http.max_connections);
-  body += "}, \"shard\": {";
-  if (shard != nullptr) {
-    body += "\"enabled\": true";
-    body += ", \"index\": " + std::to_string(shard->index);
-    body += ", \"count\": " + std::to_string(shard->map.num_shards());
-    body += ", \"digest\": \"" + shard->digest_hex + "\"";
-    body += ", \"range\": \"" + HexRange(shard->range) + "\"";
-    body += std::string(", \"transitioning\": ") +
-            (shard->transitioning() ? "true" : "false");
-    if (shard->transitioning()) {
-      body += ", \"new_digest\": \"" + shard->new_digest_hex + "\"";
-      body += ", \"new_index\": " + std::to_string(shard->new_index);
-      if (shard->new_index >= 0) {
-        body += ", \"new_range\": \"" + HexRange(shard->new_range) + "\"";
-      }
-    }
-  } else {
-    body += "\"enabled\": false";
-  }
-  body += "}, \"anti_entropy\": {";
-  body += std::string("\"enabled\": ") +
-          (options_.anti_entropy_interval_seconds > 0 ? "true" : "false");
-  body += ", \"interval_seconds\": " +
-          std::to_string(options_.anti_entropy_interval_seconds);
-  body += ", \"rounds_ok\": " +
-          count("htd_antientropy_rounds_total{result=\"ok\"}");
-  body += ", \"rounds_error\": " +
-          count("htd_antientropy_rounds_total{result=\"error\"}");
-  body += ", \"rounds_skipped\": " +
-          count("htd_antientropy_rounds_total{result=\"skipped\"}");
-  body += ", \"merged_cache_entries\": " +
-          count("htd_antientropy_entries_total{section=\"cache\"}");
-  body += ", \"merged_store_entries\": " +
-          count("htd_antientropy_entries_total{section=\"store\"}");
-  body += ", \"bytes_pulled\": " + count("htd_antientropy_bytes_total");
-  body += "}, \"migration\": {";
-  body += "\"imported_cache_entries\": " +
-          count("htd_migration_entries_total{direction=\"imported_cache\"}");
-  body += ", \"imported_store_entries\": " +
-          count("htd_migration_entries_total{direction=\"imported_store\"}");
-  body += ", \"migrated_out_entries\": " +
-          count("htd_migration_entries_total{direction=\"migrated_out\"}");
-  body += "}, \"snapshot\": {";
-  body += "\"path\": \"" + JsonEscape(options_.snapshot_path) + "\"";
-  body += ", \"restored_cache_entries\": " + std::to_string(restored_.cache_entries);
-  body += ", \"restored_store_entries\": " + std::to_string(restored_.store_entries);
-  body += ", \"restored_dropped_out_of_range\": " +
-          std::to_string(restored_.dropped_out_of_range);
-  body += "}}\n";
-
-  HttpResponse response;
-  response.body = std::move(body);
-  return response;
-}
-
-HttpResponse DecompositionServer::HandleMetrics() {
+HttpResponse DecompositionServer::HandleMetrics(const HttpRequest&) {
   HttpResponse response;
   response.content_type = "text/plain; version=0.0.4; charset=utf-8";
   response.body = service_->metrics().RenderPrometheus();
   return response;
 }
 
-HttpResponse DecompositionServer::HandleTrace(const HttpRequest& request) {
-  int n = ParseInt(request.QueryOr("n", "16"));
-  if (n < 1 || n > 256) {
-    return ErrorResponse(400, "query parameter n must be an integer in [1, 256]");
-  }
-  HttpResponse response;
-  response.body = RenderRecentTracesJson(static_cast<size_t>(n));
-  return response;
-}
-
-HttpResponse DecompositionServer::HandleSnapshot() {
+HttpResponse DecompositionServer::HandleSnapshot(const HttpRequest&) {
   auto saved = SaveSnapshotNow();
   if (!saved.ok()) {
     int status =
@@ -1216,16 +957,7 @@ HttpResponse DecompositionServer::HandleImport(const HttpRequest& request) {
   }
   auto shard = shard_state();
   if (shard != nullptr) {
-    auto digest = request.headers.find("x-htd-shard-digest");
-    if (digest != request.headers.end() &&
-        !DigestAccepted(*shard, digest->second)) {
-      misrouted_->Add();
-      return ErrorResponse(
-          421, "import routed by digest " + digest->second +
-                   " but this shard accepts " + shard->digest_hex +
-                   (shard->transitioning() ? " or " + shard->new_digest_hex
-                                           : ""));
-    }
+    if (auto refused = RefuseForeignDigest(*shard, request)) return *refused;
   }
   // Filter to the accepted slice of the key space; a migration push built
   // against the right map never loses entries to this (the sender already
@@ -1304,29 +1036,15 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
   std::optional<service::ShardEndpoint> self;
   const std::string self_text = request.QueryOr("self", "");
   if (!self_text.empty()) {
-    size_t colon = self_text.rfind(':');
-    long self_port;
-    if (colon == std::string::npos || colon == 0 ||
-        !util::ParseIntFlag(self_text.substr(colon + 1), 1, 65535,
-                            &self_port)) {
-      return ErrorResponse(400, "query parameter self must be host:port");
+    auto parsed = service::ShardEndpoint::Parse(self_text);
+    if (!parsed.ok()) {
+      return ErrorResponse(400, "query parameter self: " +
+                                    parsed.status().message());
     }
-    self = service::ShardEndpoint{self_text.substr(0, colon),
-                                  static_cast<int>(self_port)};
+    self = std::move(*parsed);
   }
-  if (request.body.empty()) {
-    return ErrorResponse(400, "empty body: expected the new shard map spec "
-                              "(host:port,host:port*2,...)");
-  }
-  std::string spec = request.body;
-  while (!spec.empty() && (spec.back() == '\n' || spec.back() == '\r')) {
-    spec.pop_back();
-  }
-  auto new_map = service::ShardMap::Parse(spec);
-  if (!new_map.ok()) {
-    return ErrorResponse(400, "cannot parse new shard map: " +
-                                  new_map.status().message());
-  }
+  auto new_map = ParseShardMapBody(request.body);
+  if (!new_map.ok()) return ErrorResponse(400, new_map.status().message());
   if (new_index >= new_map->num_shards()) {
     return ErrorResponse(400, "new_index " + std::to_string(new_index) +
                                   " is outside the new map (" +
@@ -1394,7 +1112,7 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
       const service::ShardEndpoint& target = new_map->replica(j, r);
       if (self.has_value() && target == *self) continue;
       FetchOptions fetch;
-      fetch.read_timeout_seconds = options_.migrate_push_timeout_seconds;
+      fetch.read_timeout_seconds = kMigratePushTimeoutSeconds;
       FetchResult pushed =
           entries == 0
               ? FetchResult{FetchResult::Transport::kOk, 200, {}, "", ""}
@@ -1441,16 +1159,7 @@ HttpResponse DecompositionServer::HandleMigrate(const HttpRequest& request) {
 HttpResponse DecompositionServer::HandleDigest(const HttpRequest& request) {
   auto shard = shard_state();
   if (shard != nullptr) {
-    auto digest = request.headers.find("x-htd-shard-digest");
-    if (digest != request.headers.end() &&
-        !DigestAccepted(*shard, digest->second)) {
-      misrouted_->Add();
-      return ErrorResponse(
-          421, "digest request routed by shard-map digest " + digest->second +
-                   " but this shard accepts " + shard->digest_hex +
-                   (shard->transitioning() ? " or " + shard->new_digest_hex
-                                           : ""));
-    }
+    if (auto refused = RefuseForeignDigest(*shard, request)) return *refused;
   }
   // Default to the slice of the key space this server owns (everything when
   // unsharded); an explicit ?range= narrows or widens it — e.g. a sweep
@@ -1477,7 +1186,7 @@ HttpResponse DecompositionServer::HandleDigest(const HttpRequest& request) {
   return response;
 }
 
-HttpResponse DecompositionServer::HandleAntiEntropy() {
+HttpResponse DecompositionServer::HandleAntiEntropy(const HttpRequest&) {
   auto swept = RunAntiEntropySweep();
   if (!swept.ok()) {
     int status = swept.status().code() == util::StatusCode::kFailedPrecondition
@@ -1567,7 +1276,7 @@ DecompositionServer::RunAntiEntropySweep() {
       "/v1/admin/digest?range=" + HexRange(state->range) +
       "&slices=" + std::to_string(options_.anti_entropy_slices);
   FetchOptions fetch;
-  fetch.read_timeout_seconds = options_.anti_entropy_pull_timeout_seconds;
+  fetch.read_timeout_seconds = kAntiEntropyPullTimeoutSeconds;
 
   for (size_t s = 0; s < siblings.size(); ++s) {
     if (stopping_.load(std::memory_order_acquire)) break;
@@ -1659,73 +1368,6 @@ DecompositionServer::RunAntiEntropySweep() {
     ae_rounds_error_->Add();
   }
   return result;
-}
-
-std::string DecompositionServer::RenderResult(const service::JobResult& job,
-                                              const Hypergraph& graph,
-                                              bool include_decomposition) const {
-  std::string body = "{";
-  body += "\"outcome\": \"" + std::string(OutcomeName(job.result.outcome)) + "\"";
-  if (job.result.decomposition.has_value()) {
-    body += ", \"width\": " + std::to_string(job.result.decomposition->Width());
-  }
-  body += std::string(", \"cache_hit\": ") + (job.cache_hit ? "true" : "false");
-  body += std::string(", \"deduplicated\": ") +
-          (job.deduplicated ? "true" : "false");
-  body += ", \"seconds\": " + std::to_string(job.seconds);
-  body += ", \"threads_used\": " + std::to_string(job.threads_used);
-  body += ", \"fingerprint\": \"" + job.fingerprint.ToHex() + "\"";
-  if (include_decomposition && job.result.decomposition.has_value()) {
-    body += ", \"decomposition\": " +
-            WriteDecompositionJson(graph, *job.result.decomposition);
-  }
-  body += "}\n";
-  return body;
-}
-
-std::string DecompositionServer::RenderQueryAnswer(
-    const qa::QueryAnswer& answer) {
-  std::string body = "{";
-  body += "\"outcome\": \"" +
-          std::string(qa::QueryOutcomeName(answer.outcome)) + "\"";
-  if (answer.outcome == qa::QueryOutcome::kSatisfiable) {
-    // Witness keys are rendered sorted so the body is deterministic.
-    std::vector<std::pair<std::string, int64_t>> vars(answer.witness.begin(),
-                                                      answer.witness.end());
-    std::sort(vars.begin(), vars.end());
-    body += ", \"witness\": {";
-    bool first = true;
-    for (const auto& [var, value] : vars) {
-      if (!first) body += ", ";
-      first = false;
-      body += "\"" + JsonEscape(var) + "\": " + std::to_string(value);
-    }
-    body += "}";
-  }
-  if (answer.counted) {
-    body += ", \"count\": " + std::to_string(answer.count.value);
-    body += std::string(", \"count_saturated\": ") +
-            (answer.count.saturated ? "true" : "false");
-  }
-  if (answer.portfolio_size > 0) {
-    body += ", \"width\": " + std::to_string(answer.width);
-    body += ", \"fractional_width\": " +
-            std::to_string(answer.fractional_width);
-    body += ", \"estimated_cost\": " + std::to_string(answer.estimated_cost);
-    body += ", \"portfolio\": {\"picked\": " +
-            std::to_string(answer.picked_index) +
-            ", \"size\": " + std::to_string(answer.portfolio_size) + "}";
-  }
-  body += ", \"fingerprint\": \"" + answer.fingerprint.ToHex() + "\"";
-  body += std::string(", \"cache_hit\": ") +
-          (answer.decompose_cache_hit ? "true" : "false");
-  body += ", \"probes\": " + std::to_string(answer.probes);
-  body += ", \"decompose_seconds\": " +
-          std::to_string(answer.decompose_seconds);
-  body += ", \"pick_seconds\": " + std::to_string(answer.pick_seconds);
-  body += ", \"execute_seconds\": " + std::to_string(answer.execute_seconds);
-  body += "}\n";
-  return body;
 }
 
 }  // namespace htd::net

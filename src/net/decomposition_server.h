@@ -15,13 +15,12 @@
 //                           /v1/decompose), picks a tree from the
 //                           decomposition portfolio, runs Yannakakis, and
 //                           returns witness/count/decomposition metadata
-//                           (docs/QUERIES.md). Same admission (429/503),
-//                           deadline, and 421 sharding semantics as
-//                           /v1/decompose; async job ids are "q<N>".
+//                           (docs/QUERIES.md). Admitted by the same step as
+//                           /v1/decompose (421/400/503/429); async job ids
+//                           are "q<N>".
 //   GET  /v1/jobs/<id>      state of an async job; includes the result once
 //                           resolved. Serves decompose ("j<N>") and query
-//                           ("q<N>") jobs.
-//   GET  /v1/stats          scheduler/cache/store/admission counters.
+//                           ("q<N>") jobs from one table.
 //   POST /v1/admin/snapshot persist warm state to the configured snapshot
 //                           path (service/persistence.h).
 //   GET  /v1/admin/export?range=HEX-HEX
@@ -55,11 +54,11 @@
 //                           as JSON, children attached (util/trace.h).
 //   GET  /healthz           liveness probe.
 //
-// Observability: every POST /v1/decompose opens a root span whose id is
-// echoed as X-HTD-Request-Id (an id arriving in that header — the shard
-// router propagates its own — is adopted, so a fleet trace stitches
-// together), and synchronous responses carry a Server-Timing header with
-// the parse/fingerprint/cache/schedule/solve/serialise stage breakdown.
+// Observability: every POST /v1/decompose and /v1/query opens a root span
+// whose id is echoed as X-HTD-Request-Id (an id arriving in that header —
+// the shard router propagates its own — is adopted, so a fleet trace
+// stitches together), and synchronous responses carry a Server-Timing
+// header with the route's stage breakdown.
 //
 // Admission control: requests are shed with 429 + Retry-After once the
 // number of admitted-but-unresolved jobs reaches max_queue_depth — a
@@ -89,6 +88,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -98,6 +98,7 @@
 #include <thread>
 
 #include "net/http.h"
+#include "net/routes.h"
 #include "net/server.h"
 #include "qa/query_engine.h"
 #include "service/persistence.h"
@@ -118,10 +119,6 @@ struct DecompositionServerOptions {
   int max_queue_depth = 64;
   /// Advertised in the Retry-After header of shed responses.
   int retry_after_seconds = 1;
-
-  /// Completed async job records retained for GET /v1/jobs/<id> (oldest
-  /// evicted first). Unresolved jobs are never evicted.
-  size_t max_retained_jobs = 1024;
 
   /// Snapshot file for warm-state persistence; empty disables the
   /// /v1/admin/snapshot route and startup restore.
@@ -149,10 +146,6 @@ struct DecompositionServerOptions {
   std::optional<service::ShardMap> shard_map;
   int shard_index = -1;
 
-  /// Transport timeout for one migration push (POST /v1/admin/import to a
-  /// new owner). Blobs can be large; default is generous.
-  double migrate_push_timeout_seconds = 300.0;
-
   /// Anti-entropy between replica siblings (docs/OPERATIONS.md): every
   /// interval, compare warm-state digests with the other replicas of this
   /// range and pull the differing slices. 0 (the default) disables the
@@ -169,8 +162,6 @@ struct DecompositionServerOptions {
   /// unidentifiable self degrades to pulling from every replica, where the
   /// self-pull is a digest-equal no-op.
   std::string anti_entropy_self;
-  /// Transport timeout for one digest or slice pull.
-  double anti_entropy_pull_timeout_seconds = 60.0;
 };
 
 class DecompositionServer {
@@ -276,60 +267,83 @@ class DecompositionServer {
   util::StatusOr<SweepResult> RunAntiEntropySweep();
 
   /// Route dispatch; public so tests can drive the server without sockets.
-  HttpResponse Handle(const HttpRequest& request);
+  HttpResponse Handle(const HttpRequest& request) {
+    return routes_->Handle(request);
+  }
+
+  /// Async job records retained for GET /v1/jobs/<id>, both kinds
+  /// together; the oldest resolved records are evicted first, unresolved
+  /// ones never.
+  static constexpr size_t kMaxRetainedJobs = 1024;
 
   const DecompositionServerOptions& options() const { return options_; }
 
  private:
+  /// One async job record, "j<N>" (decompose) or "q<N>" (query). The two
+  /// kinds differ only in how they resolve and render, so one table, one
+  /// retention cap and one GET /v1/jobs/<id> serve both.
   struct AsyncJob {
-    std::shared_future<service::JobResult> future;
-    /// The admitted instance; kept so a later GET can render the
-    /// decomposition in the caller's vertex/edge names.
-    std::shared_ptr<const Hypergraph> graph;
-    int k = 0;
-    bool include_decomposition = false;
+    /// Non-blocking: true once the job's result is ready.
+    std::function<bool()> resolved;
+    /// The done body's payload member, `"result": {...}` or
+    /// `"error": "..."`; called only once resolved.
+    std::function<std::string()> render;
   };
 
-  /// Async query job ("q<N>"). Runs as a background-lane task on the
-  /// fleet-wide executor: QueryEngine::Answer blocks on probe flights served
-  /// by the same executor, which is safe because a worker running Answer
-  /// helps execute sync/async-lane work while it waits
-  /// (Executor::HelpWhileWaiting) — and the background lane itself is
-  /// excluded from helping, so query jobs can't recursively stack. Counted
-  /// in the admission bound via outstanding_query_jobs_ (unlike the old
-  /// detached std::async threads, which the 429 check could not see).
-  struct AsyncQueryJob {
-    std::shared_future<util::StatusOr<qa::QueryAnswer>> future;
-  };
+  /// A hypergraph-bearing route run under Traced(): `request_id` is the
+  /// root span id, and a synchronous answer writes its stage breakdown to
+  /// `server_timing` in Server-Timing header syntax.
+  using TracedHandler = HttpResponse (DecompositionServer::*)(
+      const HttpRequest& request, uint64_t request_id,
+      std::string* server_timing);
 
   explicit DecompositionServer(DecompositionServerOptions options);
 
-  /// Binds the admission/migration counters and route histograms onto the
-  /// service's MetricsRegistry (called once from Create, after service_).
+  /// Binds the admission/migration counters and runtime-state gauges onto
+  /// the service's MetricsRegistry (called once from Create, after service_).
   void BindMetrics();
+  /// Builds the route table (called once from Create, after BindMetrics).
+  void BindRoutes();
 
-  /// Route dispatch body; Handle() wraps it with the per-route latency
-  /// histogram observation.
-  HttpResponse Dispatch(const HttpRequest& request);
+  /// Adopts a valid X-HTD-Request-Id or mints one, runs `handler` under the
+  /// root "request" span, and attaches the id and any Server-Timing to the
+  /// response.
+  HttpResponse Traced(TracedHandler handler, const HttpRequest& request);
 
-  /// `request_id` is the root span id (echoed by the caller); on the
-  /// synchronous path `server_timing` receives the stage breakdown in
-  /// Server-Timing header syntax.
+  /// 421, counted as misrouted, when the request carries a shard-map
+  /// digest `shard` does not accept; nullopt otherwise.
+  std::optional<HttpResponse> RefuseForeignDigest(const ShardState& shard,
+                                                  const HttpRequest& request);
+
+  /// The admission step of both hypergraph-bearing routes, in order: the
+  /// shard digest and fingerprint-header checks (421/400), the empty-body
+  /// 400, shed-before-parse (503 while stopping, 429 at max_queue_depth),
+  /// the timed parse (400), and — for a sender that did not prove it hashed
+  /// with an accepted map — the range check on this server's own
+  /// fingerprint of `Body::Fingerprint` (421). Counts each outcome. Returns
+  /// the refusal, or nullopt with `*body` and `*parse_seconds` set.
+  template <typename Body>
+  std::optional<HttpResponse> Admit(const HttpRequest& request,
+                                    uint64_t request_id,
+                                    typename Body::Parsed* body,
+                                    double* parse_seconds);
+
   HttpResponse HandleDecompose(const HttpRequest& request, uint64_t request_id,
                                std::string* server_timing);
   HttpResponse HandleQuery(const HttpRequest& request, uint64_t request_id,
                            std::string* server_timing);
-  HttpResponse HandleJob(const std::string& id);
-  HttpResponse HandleQueryJob(const std::string& id);
-  HttpResponse HandleStats();
-  HttpResponse HandleMetrics();
-  HttpResponse HandleTrace(const HttpRequest& request);
-  HttpResponse HandleSnapshot();
+  /// Mints the job's id ('j' or 'q' then a counter shared by both kinds),
+  /// records it, evicts the oldest resolved records over kMaxRetainedJobs,
+  /// and returns the 202.
+  HttpResponse AcceptJob(char kind, AsyncJob job);
+  HttpResponse HandleJob(const HttpRequest& request);
+  HttpResponse HandleMetrics(const HttpRequest& request);
+  HttpResponse HandleSnapshot(const HttpRequest& request);
   HttpResponse HandleExport(const HttpRequest& request);
   HttpResponse HandleImport(const HttpRequest& request);
   HttpResponse HandleMigrate(const HttpRequest& request);
   HttpResponse HandleDigest(const HttpRequest& request);
-  HttpResponse HandleAntiEntropy();
+  HttpResponse HandleAntiEntropy(const HttpRequest& request);
 
   /// The background sweep loop (anti_entropy_interval_seconds > 0): one
   /// RunAntiEntropySweep per interval until Stop().
@@ -346,13 +360,6 @@ class DecompositionServer {
   /// does, so the scheduler alone under-counts query load).
   uint64_t TotalOutstandingJobs() const;
 
-  /// Renders one resolved JobResult as the response JSON body.
-  std::string RenderResult(const service::JobResult& job, const Hypergraph& graph,
-                           bool include_decomposition) const;
-
-  /// Renders one QueryAnswer as the response JSON body (docs/QUERIES.md).
-  static std::string RenderQueryAnswer(const qa::QueryAnswer& answer);
-
   /// The solver-config digest snapshots are stamped with (recomputed the
   /// way the service armed it, so the header matches the keys inside).
   uint64_t CurrentConfigDigest() const;
@@ -366,6 +373,8 @@ class DecompositionServer {
   /// registry. Never null after Create().
   std::unique_ptr<qa::QueryEngine> query_engine_;
   std::unique_ptr<HttpServer> http_;
+  /// Built by BindRoutes(); never null after Create().
+  std::unique_ptr<RouteTable> routes_;
   service::SnapshotStats restored_;
 
   /// Current sharding identity (null = unsharded); readers copy the
@@ -376,8 +385,8 @@ class DecompositionServer {
   std::mutex migrate_mutex_;
 
   /// Admission/migration counters, owned by the service's MetricsRegistry
-  /// (so /v1/metrics, /v1/stats, and the struct accessors all read the
-  /// same cells). Bound in BindMetrics(); never null after Create().
+  /// (so /v1/metrics and the struct accessors read the same cells). Bound
+  /// in BindMetrics(); never null after Create().
   util::Counter* admitted_ = nullptr;
   util::Counter* shed_ = nullptr;
   util::Counter* bad_requests_ = nullptr;
@@ -392,7 +401,7 @@ class DecompositionServer {
   util::Counter* ae_entries_store_ = nullptr;
   util::Counter* ae_bytes_ = nullptr;
   std::atomic<uint64_t> next_job_id_{1};
-  /// Set at the head of Stop(): new decompose requests are refused with 503
+  /// Set at the head of Stop(): new admissions are refused with 503
   /// so no fresh flight can slip in behind the cancellation sweep.
   std::atomic<bool> stopping_{false};
   /// Serialises snapshot writers (concurrent saves would interleave on the
@@ -406,10 +415,8 @@ class DecompositionServer {
   std::atomic<uint64_t> outstanding_query_jobs_{0};
 
   std::mutex jobs_mutex_;
-  std::map<std::string, AsyncJob> jobs_;       // guarded by jobs_mutex_
-  std::list<std::string> job_order_;           // insertion order, for eviction
-  std::map<std::string, AsyncQueryJob> query_jobs_;  // guarded by jobs_mutex_
-  std::list<std::string> query_job_order_;
+  std::map<std::string, AsyncJob> jobs_;  // guarded by jobs_mutex_
+  std::list<std::string> job_order_;      // insertion order, for eviction
 
   /// anti_entropy_self parsed at Create(); nullopt when empty/inferred.
   std::optional<service::ShardEndpoint> ae_self_;

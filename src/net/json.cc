@@ -1,7 +1,6 @@
 #include "net/json.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace htd::net {
 
@@ -28,31 +27,19 @@ std::string JsonEscape(const std::string& text) {
   return out;
 }
 
-HttpResponse JsonErrorResponse(int status, const std::string& message) {
+HttpResponse ErrorResponse(int status, const std::string& message) {
   HttpResponse response;
   response.status = status;
   response.body = "{\"error\": \"" + JsonEscape(message) + "\"}\n";
   return response;
 }
 
-bool FindJsonNumber(const std::string& body, const std::string& section,
-                    const std::string& key, double* out) {
-  size_t section_pos = body.find("\"" + section + "\": {");
-  if (section_pos == std::string::npos) return false;
-  size_t section_end = body.find('}', section_pos);
-  if (section_end == std::string::npos) return false;
-  size_t key_pos = body.find("\"" + key + "\": ", section_pos);
-  if (key_pos == std::string::npos || key_pos > section_end) return false;
-  *out = std::strtod(body.c_str() + key_pos + key.size() + 4, nullptr);
-  return true;
-}
-
-bool FindJsonNumber(const std::string& body, const std::string& key,
-                    double* out) {
-  size_t key_pos = body.find("\"" + key + "\": ");
-  if (key_pos == std::string::npos) return false;
-  *out = std::strtod(body.c_str() + key_pos + key.size() + 4, nullptr);
-  return true;
+HttpResponse RetryLaterResponse(int status, const std::string& message,
+                                int retry_after_seconds) {
+  HttpResponse response = ErrorResponse(status, message);
+  response.headers.emplace_back("Retry-After",
+                                std::to_string(retry_after_seconds));
+  return response;
 }
 
 }  // namespace htd::net

@@ -1,6 +1,7 @@
-// Tiny JSON response helpers shared by the HTTP front-ends
-// (net/decomposition_server.cc and net/shard_router.cc), so error bodies
-// and escaping behave identically on both sides of a proxy hop.
+// Tiny JSON response helpers shared by the transport (net/server.cc) and
+// the HTTP front-ends (net/decomposition_server.cc, net/shard_router.cc),
+// so error bodies and escaping behave identically on every layer and on
+// both sides of a proxy hop.
 #pragma once
 
 #include <string>
@@ -14,21 +15,11 @@ namespace htd::net {
 std::string JsonEscape(const std::string& text);
 
 /// The canonical error body: {"error": "<message>"} with the given status.
-HttpResponse JsonErrorResponse(int status, const std::string& message);
+HttpResponse ErrorResponse(int status, const std::string& message);
 
-/// Extracts `"key": <number>` from the flat object `"section": {...}` of a
-/// fleet-rendered JSON body. The bodies this reads are the fleet's OWN
-/// (net/decomposition_server.cc renders them: two levels, flat numeric
-/// sections, exactly one space after the colon), so plain string search is
-/// exact here — this is not a general JSON parser, and every consumer
-/// (router aggregation, hdreshard verify) shares this one implementation so
-/// a renderer change cannot break them apart.
-bool FindJsonNumber(const std::string& body, const std::string& section,
-                    const std::string& key, double* out);
-
-/// As above for a key at any position in the body (top-level fields like
-/// the migrate response's "entries_out").
-bool FindJsonNumber(const std::string& body, const std::string& key,
-                    double* out);
+/// An error the client should retry: the error body plus a Retry-After
+/// header (load shedding, an endpoint backing off).
+HttpResponse RetryLaterResponse(int status, const std::string& message,
+                                int retry_after_seconds);
 
 }  // namespace htd::net

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/json.h"
 #include "util/logging.h"
 
 namespace htd::net {
@@ -360,9 +361,8 @@ class EventLoop {
   }
 
   void RespondParseError(Conn& conn) {
-    HttpResponse response;
-    response.status = conn.parser.error_status();
-    response.body = "{\"error\": \"" + conn.parser.error() + "\"}\n";
+    HttpResponse response =
+        ErrorResponse(conn.parser.error_status(), conn.parser.error());
     QueueWrite(conn, SerializeResponse(response, "close"), /*close=*/true);
   }
 
@@ -505,9 +505,8 @@ class EventLoop {
         // Slow-loris drip: best-effort 408, then the connection is done.
         // The conn re-enters the wheel via the write deadline, so a peer
         // that also refuses to READ the 408 is reaped by the write timeout.
-        HttpResponse response;
-        response.status = 408;
-        response.body = "{\"error\": \"timed out waiting for the request\"}\n";
+        HttpResponse response =
+            ErrorResponse(408, "timed out waiting for the request");
         QueueWrite(conn, SerializeResponse(response, "close"), /*close=*/true);
         return;
       }
@@ -640,12 +639,9 @@ void HttpServer::AcceptLoop() {
     if (live_connections_.load(std::memory_order_relaxed) >=
         options_.max_connections) {
       connections_shed_.fetch_add(1, std::memory_order_relaxed);
-      HttpResponse response;
-      response.status = 503;
-      response.headers.emplace_back(
-          "Retry-After", std::to_string(options_.retry_after_seconds));
-      response.body =
-          "{\"error\": \"server at connection capacity; retry later\"}\n";
+      HttpResponse response = RetryLaterResponse(
+          503, "server at connection capacity; retry later",
+          options_.retry_after_seconds);
       util::SetSendTimeout(outcome.socket.fd(), 1.0);
       util::SendAll(outcome.socket.fd(), SerializeResponse(response, "close"));
       continue;  // socket destructor closes it

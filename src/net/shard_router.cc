@@ -4,36 +4,14 @@
 #include <cstdlib>
 #include <set>
 
-#include "hypergraph/parser.h"
 #include "net/http_client.h"
 #include "net/json.h"
-#include "net/trace_json.h"
-#include "qa/wire.h"
 #include "service/canonical.h"
 #include "util/cli.h"
-#include "util/timer.h"
 
 namespace htd::net {
 
 namespace {
-
-HttpResponse ErrorResponse(int status, const std::string& message) {
-  return JsonErrorResponse(status, message);
-}
-
-/// Route label for the router's per-route latency histogram (closed set,
-/// same rationale as the backend's).
-const char* RouteLabel(const std::string& path) {
-  if (path == "/v1/decompose") return "decompose";
-  if (path == "/v1/query") return "query";
-  if (path.rfind("/v1/jobs/", 0) == 0) return "jobs";
-  if (path == "/v1/stats") return "stats";
-  if (path == "/v1/metrics") return "metrics";
-  if (path == "/v1/trace") return "trace";
-  if (path.rfind("/v1/admin/", 0) == 0) return "admin";
-  if (path == "/healthz") return "healthz";
-  return "other";
-}
 
 /// Trailing-'\n'-free copy of a forwarded JSON body, for embedding.
 std::string Embed(const std::string& body) {
@@ -66,7 +44,8 @@ void PrefixJobId(HttpResponse* response, int shard, int replica) {
 }  // namespace
 
 ShardRouter::ShardRouter(ShardRouterOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      routes_(Routes(), metrics_, "htd_router_request_seconds") {
   auto maps = std::make_shared<Maps>(options_.map);
   maps->digest_hex = maps->map.DigestHex();
   maps_ = std::move(maps);
@@ -79,12 +58,6 @@ std::shared_ptr<const ShardRouter::Maps> ShardRouter::maps() const {
   std::lock_guard<std::mutex> lock(maps_mutex_);
   return maps_;
 }
-
-bool ShardRouter::transitioning() const {
-  return maps()->new_map.has_value();
-}
-
-service::ShardMap ShardRouter::current_map() const { return maps()->map; }
 
 util::Status ShardRouter::BeginTransition(const service::ShardMap& new_map) {
   std::lock_guard<std::mutex> lock(maps_mutex_);
@@ -139,31 +112,17 @@ std::vector<ShardRouter::AddressedEndpoint> ShardRouter::AddressedEndpoints(
     const Maps& maps) {
   std::vector<AddressedEndpoint> out;
   std::set<std::string> seen;
-  for (int index = 0; index < maps.map.num_shards(); ++index) {
-    for (int r = 0; r < maps.map.num_replicas(index); ++r) {
-      AddressedEndpoint target;
-      target.endpoint = maps.map.replica(index, r);
-      target.range = index;
-      target.replica = r;
-      target.digest_hex = maps.digest_hex;
-      seen.insert(HealthKey(target.endpoint));
-      out.push_back(std::move(target));
-    }
-  }
-  if (maps.new_map.has_value()) {
-    for (int index = 0; index < maps.new_map->num_shards(); ++index) {
-      for (int r = 0; r < maps.new_map->num_replicas(index); ++r) {
-        AddressedEndpoint target;
-        target.endpoint = maps.new_map->replica(index, r);
-        if (!seen.insert(HealthKey(target.endpoint)).second) continue;
-        target.range = index;
-        target.replica = r;
-        target.new_map_only = true;
-        target.digest_hex = maps.new_digest_hex;
-        out.push_back(std::move(target));
+  auto add = [&](const service::ShardMap& map, const std::string& digest_hex) {
+    for (int index = 0; index < map.num_shards(); ++index) {
+      for (int r = 0; r < map.num_replicas(index); ++r) {
+        if (seen.insert(HealthKey(map.replica(index, r))).second) {
+          out.push_back({map.replica(index, r), index, r, digest_hex});
+        }
       }
     }
-  }
+  };
+  add(maps.map, maps.digest_hex);
+  if (maps.new_map.has_value()) add(*maps.new_map, maps.new_digest_hex);
   return out;
 }
 
@@ -183,17 +142,47 @@ std::vector<ShardRouter::ShardStats> ShardRouter::StatsForTargets(
     stats.port = target.endpoint.port;
     stats.range = target.range;
     stats.replica = target.replica;
-    stats.new_map_only = target.new_map_only;
     auto it = health_.find(HealthKey(target.endpoint));
     if (it != health_.end()) {
       stats.forwarded = it->second.forwarded;
       stats.transport_errors = it->second.transport_errors;
       stats.backoff_shed = it->second.backoff_shed;
-      stats.consecutive_failures = it->second.consecutive_failures;
       stats.backing_off = it->second.retry_at > now;
     }
     out.push_back(std::move(stats));
   }
+  return out;
+}
+
+std::string ShardRouter::RenderEndpointSeries(
+    const std::vector<AddressedEndpoint>& targets) const {
+  const std::vector<ShardStats> rows = StatsForTargets(targets);
+  std::string out;
+  auto family = [&](const char* name, const char* type, const char* help,
+                    auto value) {
+    out += std::string("# HELP ") + name + " " + help + "\n# TYPE " + name +
+           " " + type + "\n";
+    for (const ShardStats& row : rows) {
+      out += std::string(name) + "{endpoint=\"" + row.host + ":" +
+             std::to_string(row.port) + "\",range=\"" +
+             std::to_string(row.range) + "\",replica=\"" +
+             std::to_string(row.replica) + "\"} " +
+             std::to_string(value(row)) + "\n";
+    }
+  };
+  family("htd_router_forwarded_total", "counter",
+         "Exchanges the router attempted against each backend endpoint.",
+         [](const ShardStats& row) { return row.forwarded; });
+  family("htd_router_transport_errors_total", "counter",
+         "Connect, send, receive or parse failures per backend endpoint.",
+         [](const ShardStats& row) { return row.transport_errors; });
+  family("htd_router_backoff_shed_total", "counter",
+         "Forwards skipped without touching the socket because the endpoint "
+         "was backing off.",
+         [](const ShardStats& row) { return row.backoff_shed; });
+  family("htd_router_backing_off", "gauge",
+         "1 while the endpoint is inside its backoff window.",
+         [](const ShardStats& row) { return row.backing_off ? 1 : 0; });
   return out;
 }
 
@@ -236,12 +225,11 @@ HttpResponse ShardRouter::ForwardToEndpoint(
   const std::string key = HealthKey(endpoint);
   *transport_failed = true;
   if (InBackoff(key)) {
-    HttpResponse response = ErrorResponse(
-        503, "endpoint " + key +
-                 " is backing off after transport failures; retry later");
-    response.headers.emplace_back("Retry-After",
-                                  std::to_string(options_.retry_after_seconds));
-    return response;
+    return RetryLaterResponse(
+        503,
+        "endpoint " + key +
+            " is backing off after transport failures; retry later",
+        options_.retry_after_seconds);
   }
   {
     std::lock_guard<std::mutex> lock(health_mutex_);
@@ -268,13 +256,10 @@ HttpResponse ShardRouter::ForwardToEndpoint(
   if (!result.ok()) {
     RecordFailure(key);
     switch (result.transport) {
-      case FetchResult::Transport::kConnectFailed: {
-        HttpResponse response = ErrorResponse(
-            503, "endpoint " + key + " unreachable: " + result.error);
-        response.headers.emplace_back(
-            "Retry-After", std::to_string(options_.retry_after_seconds));
-        return response;
-      }
+      case FetchResult::Transport::kConnectFailed:
+        return RetryLaterResponse(
+            503, "endpoint " + key + " unreachable: " + result.error,
+            options_.retry_after_seconds);
       case FetchResult::Transport::kRecvTimeout:
         return ErrorResponse(504, "endpoint " + key + " response timed out");
       case FetchResult::Transport::kParseFailed:
@@ -290,7 +275,9 @@ HttpResponse ShardRouter::ForwardToEndpoint(
 
   // Pass the endpoint's answer through verbatim — status (incl. its own
   // 429/503 load shedding), Retry-After, and body; the client's backoff
-  // logic works unchanged behind the router.
+  // logic works unchanged behind the router. The observability headers
+  // pass through too: the client sees the backend's stage breakdown and the
+  // request id its trace is filed under.
   HttpResponse response;
   response.status = result.status;
   response.body = std::move(result.body);
@@ -298,19 +285,14 @@ HttpResponse ShardRouter::ForwardToEndpoint(
   if (content_type != result.headers.end()) {
     response.content_type = content_type->second;
   }
-  auto retry_after = result.headers.find("retry-after");
-  if (retry_after != result.headers.end()) {
-    response.headers.emplace_back("Retry-After", retry_after->second);
-  }
-  // Observability headers pass through: the client sees the backend's stage
-  // breakdown and the request id its trace is filed under.
-  auto server_timing = result.headers.find("server-timing");
-  if (server_timing != result.headers.end()) {
-    response.headers.emplace_back("Server-Timing", server_timing->second);
-  }
-  auto echoed_id = result.headers.find("x-htd-request-id");
-  if (echoed_id != result.headers.end()) {
-    response.headers.emplace_back("X-HTD-Request-Id", echoed_id->second);
+  for (const auto& [key, name] :
+       {std::pair{"retry-after", "Retry-After"},
+        std::pair{"server-timing", "Server-Timing"},
+        std::pair{"x-htd-request-id", "X-HTD-Request-Id"}}) {
+    auto header = result.headers.find(key);
+    if (header != result.headers.end()) {
+      response.headers.emplace_back(name, header->second);
+    }
   }
   return response;
 }
@@ -351,22 +333,24 @@ HttpResponse ShardRouter::ForwardToRange(
     answered = true;
   }
   if (answered) return last;  // every replica down/backing off: best error
-  HttpResponse response = ErrorResponse(
-      503, "every replica of shard " + std::to_string(index) +
-               " is backing off; retry later");
-  response.headers.emplace_back("Retry-After",
-                                std::to_string(options_.retry_after_seconds));
-  return response;
+  return RetryLaterResponse(503,
+                            "every replica of shard " + std::to_string(index) +
+                                " is backing off; retry later",
+                            options_.retry_after_seconds);
 }
 
 std::vector<HttpResponse> ShardRouter::ForwardAll(
     const std::vector<AddressedEndpoint>& targets, const std::string& method,
-    const std::string& target, double read_timeout_seconds) {
+    const std::string& target) {
   // Concurrent fan-out: the per-endpoint exchanges are independent, and
   // doing them sequentially would serialise the connect timeouts of every
   // not-yet-backing-off down endpoint (k dead endpoints = k *
-  // connect_timeout per stats call, on a router IO thread decompose
-  // forwards also need).
+  // connect_timeout per fan-out, on a router IO thread decompose forwards
+  // also need). Each exchange gets the full read timeout, not the connect
+  // timeout: a backend whose IO threads are pinned by long solves answers
+  // slowly, and timing it out here would back a healthy endpoint off —
+  // shedding live decompose traffic because an operator looked at a
+  // dashboard.
   const int n = static_cast<int>(targets.size());
   std::vector<HttpResponse> responses(static_cast<size_t>(n));
   constexpr int kMaxFanOutThreads = 16;
@@ -381,7 +365,7 @@ std::vector<HttpResponse> ShardRouter::ForwardAll(
         responses[static_cast<size_t>(i)] = ForwardToEndpoint(
             targets[static_cast<size_t>(i)].endpoint,
             targets[static_cast<size_t>(i)].digest_hex, method, target, "", "",
-            "", read_timeout_seconds, &transport_failed);
+            "", options_.read_timeout_seconds, &transport_failed);
       }
     });
   }
@@ -389,121 +373,58 @@ std::vector<HttpResponse> ShardRouter::ForwardAll(
   return responses;
 }
 
-HttpResponse ShardRouter::Handle(const HttpRequest& request) {
-  util::WallTimer timer;
-  HttpResponse response = Dispatch(request);
-  metrics_
-      .GetHistogram("htd_router_request_seconds",
-                    std::string("route=\"") + RouteLabel(request.path) + "\"")
-      .Observe(timer.ElapsedSeconds());
-  return response;
+std::vector<Route> ShardRouter::Routes() {
+  using Self = ShardRouter;
+  auto bind = [this](auto handler) { return std::bind_front(handler, this); };
+  return {
+      {nullptr, "/healthz", "healthz", bind(&Self::HandleHealth)},
+      {"POST", "/v1/decompose", "decompose",
+       bind(&Self::HandleBody<DecomposeBody>)},
+      {"POST", "/v1/query", "query", bind(&Self::HandleBody<QueryBody>)},
+      {"GET", "/v1/jobs/", "jobs", bind(&Self::HandleJob)},
+      {"GET", "/v1/metrics", "metrics", bind(&Self::HandleMetrics)},
+      {"GET", "/v1/trace", "trace", HandleTrace},
+      {"POST", "/v1/admin/snapshot", "admin", bind(&Self::HandleSnapshot)},
+      {"POST", "/v1/admin/transition", "admin", bind(&Self::HandleTransition)},
+  };
 }
 
-HttpResponse ShardRouter::Dispatch(const HttpRequest& request) {
+HttpResponse ShardRouter::Handle(const HttpRequest& request) {
   if (request.headers.count("x-htd-forwarded") != 0) {
     return ErrorResponse(
         508, "routing loop: this router received an already-forwarded request "
              "(is a router listed in its own --route-to map?)");
   }
-  if (request.path == "/healthz") {
-    auto snapshot = maps();
-    auto stats = StatsForTargets(AddressedEndpoints(*snapshot));
-    int backing_off = 0;
-    for (const ShardStats& endpoint : stats) {
-      backing_off += endpoint.backing_off ? 1 : 0;
-    }
-    HttpResponse response;
-    response.body =
-        "{\"ok\": true, \"role\": \"router\", \"shards\": " +
-        std::to_string(snapshot->map.num_shards()) +
-        ", \"endpoints\": " + std::to_string(stats.size()) +
-        ", \"backing_off\": " + std::to_string(backing_off) +
-        ", \"transitioning\": " +
-        (snapshot->new_map.has_value() ? "true" : "false") + "}\n";
-    return response;
-  }
-  if (request.path == "/v1/decompose") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/decompose");
-    }
-    return HandleDecompose(request);
-  }
-  if (request.path == "/v1/query") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/query");
-    }
-    return HandleQuery(request);
-  }
-  if (request.path.rfind("/v1/jobs/", 0) == 0) {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/jobs/<id>");
-    }
-    return HandleJob(request);
-  }
-  if (request.path == "/v1/stats") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/stats");
-    }
-    return HandleStats();
-  }
-  if (request.path == "/v1/metrics") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/metrics");
-    }
-    return HandleMetrics();
-  }
-  if (request.path == "/v1/trace") {
-    if (request.method != "GET") {
-      return ErrorResponse(405, "use GET for /v1/trace");
-    }
-    return HandleTrace(request);
-  }
-  if (request.path == "/v1/admin/snapshot") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/admin/snapshot");
-    }
-    return HandleSnapshot();
-  }
-  if (request.path == "/v1/admin/transition") {
-    if (request.method != "POST") {
-      return ErrorResponse(405, "use POST for /v1/admin/transition");
-    }
-    return HandleTransition(request);
-  }
-  return ErrorResponse(404, "unknown route (router): " + request.path);
+  return routes_.Handle(request);
 }
 
-HttpResponse ShardRouter::HandleDecompose(const HttpRequest& request) {
-  if (request.body.empty()) {
-    return ErrorResponse(400, "empty body: expected a hypergraph in "
-                              "HyperBench or PACE format");
+HttpResponse ShardRouter::HandleHealth(const HttpRequest&) {
+  auto snapshot = maps();
+  auto stats = StatsForTargets(AddressedEndpoints(*snapshot));
+  int backing_off = 0;
+  for (const ShardStats& endpoint : stats) {
+    backing_off += endpoint.backing_off ? 1 : 0;
   }
+  HttpResponse response;
+  response.body =
+      "{\"ok\": true, \"role\": \"router\", \"shards\": " +
+      std::to_string(snapshot->map.num_shards()) +
+      ", \"endpoints\": " + std::to_string(stats.size()) +
+      ", \"backing_off\": " + std::to_string(backing_off) +
+      ", \"transitioning\": " +
+      (snapshot->new_map.has_value() ? "true" : "false") + "}\n";
+  return response;
+}
+
+template <typename Body>
+HttpResponse ShardRouter::HandleBody(const HttpRequest& request) {
+  if (request.body.empty()) return ErrorResponse(400, Body::kEmpty);
   // The router pays one parse + canonicalisation per request to learn the
   // routing key. The shard parses again — the body crosses a process
   // boundary either way, and re-deriving beats trusting a proxy's bytes.
-  auto parsed = ParseAuto(request.body);
-  if (!parsed.ok()) {
-    return ErrorResponse(400,
-                         "cannot parse hypergraph: " + parsed.status().message());
-  }
-  return RouteByFingerprint(request, service::CanonicalFingerprint(*parsed));
-}
-
-HttpResponse ShardRouter::HandleQuery(const HttpRequest& request) {
-  if (request.body.empty()) {
-    return ErrorResponse(400, "empty body: expected an HTDQUERY1 query "
-                              "request (docs/QUERIES.md)");
-  }
-  // The routing key is the fingerprint of the query's hypergraph — the same
-  // key the backend decomposes under, so repeated queries (and their k-sweep
-  // probes) warm exactly the shard this router will ask again.
-  auto parsed = qa::ParseQueryRequest(request.body);
-  if (!parsed.ok()) {
-    return ErrorResponse(
-        400, "cannot parse query request: " + parsed.status().message());
-  }
-  return RouteByFingerprint(
-      request, service::CanonicalFingerprint(cq::QueryHypergraph(parsed->query)));
+  auto parsed = Body::Parse(request.body);
+  if (!parsed.ok()) return ErrorResponse(400, parsed.status().message());
+  return RouteByFingerprint(request, Body::Fingerprint(*parsed));
 }
 
 HttpResponse ShardRouter::RouteByFingerprint(const HttpRequest& request,
@@ -670,103 +591,9 @@ HttpResponse ShardRouter::HandleJob(const HttpRequest& request) {
   return last;
 }
 
-HttpResponse ShardRouter::HandleStats() {
-  // Aggregated keys summed across reachable endpoints; chosen to cover what
-  // operators and the smoke test assert on.
-  struct Field {
-    const char* section;
-    const char* key;
-    double sum = 0;
-  };
-  Field fields[] = {
-      {"scheduler", "submitted"}, {"scheduler", "solves"},
-      {"scheduler", "cache_hits"}, {"scheduler", "outstanding"},
-      {"cache", "hits"}, {"cache", "misses"}, {"cache", "entries"},
-      {"subproblem_store", "entries"}, {"admission", "admitted"},
-      {"admission", "shed"}, {"admission", "misrouted"},
-      {"migration", "imported_cache_entries"},
-      {"migration", "imported_store_entries"},
-      {"migration", "migrated_out_entries"},
-      {"snapshot", "restored_cache_entries"},
-      {"snapshot", "restored_store_entries"},
-  };
-
-  auto snapshot = maps();
-  std::vector<AddressedEndpoint> targets = AddressedEndpoints(*snapshot);
-  // Full read timeout, not the connect timeout: a backend whose IO threads
-  // are pinned by long solves answers stats slowly, and timing it out here
-  // would RecordFailure a healthy endpoint into backoff — shedding live
-  // decompose traffic because an operator looked at a dashboard.
-  std::vector<HttpResponse> responses =
-      ForwardAll(targets, "GET", "/v1/stats", options_.read_timeout_seconds);
-  // Health rows for the SAME target list the fan-out used: re-enumerating
-  // endpoints here could race a transition and misattribute counters.
-  auto router_stats = StatsForTargets(targets);
-  int reachable = 0;
-  std::string shards_json;
-  for (size_t i = 0; i < targets.size(); ++i) {
-    const AddressedEndpoint& target = targets[i];
-    HttpResponse& endpoint_response = responses[i];
-    if (!shards_json.empty()) shards_json += ", ";
-    shards_json += "{\"index\": " + std::to_string(target.range);
-    shards_json += ", \"replica\": " + std::to_string(target.replica);
-    shards_json += ", \"endpoint\": \"" + JsonEscape(target.endpoint.host) +
-                   ":" + std::to_string(target.endpoint.port) + "\"";
-    if (target.new_map_only) shards_json += ", \"new_map_only\": true";
-    shards_json +=
-        ", \"forwarded\": " + std::to_string(router_stats[i].forwarded);
-    shards_json += ", \"transport_errors\": " +
-                   std::to_string(router_stats[i].transport_errors);
-    shards_json +=
-        ", \"backoff_shed\": " + std::to_string(router_stats[i].backoff_shed);
-    if (endpoint_response.status == 200) {
-      ++reachable;
-      for (Field& field : fields) {
-        double value = 0;
-        if (FindJsonNumber(endpoint_response.body, field.section, field.key,
-                           &value)) {
-          field.sum += value;
-        }
-      }
-      shards_json += ", \"reachable\": true, \"stats\": " +
-                     Embed(endpoint_response.body);
-    } else {
-      shards_json += ", \"reachable\": false, \"status\": " +
-                     std::to_string(endpoint_response.status);
-    }
-    shards_json += "}";
-  }
-
-  std::string body = "{\"role\": \"router\"";
-  body += ", \"shard_count\": " + std::to_string(snapshot->map.num_shards());
-  body += ", \"endpoint_count\": " + std::to_string(targets.size());
-  body += ", \"reachable\": " + std::to_string(reachable);
-  body += ", \"map_digest\": \"" + snapshot->digest_hex + "\"";
-  body += std::string(", \"transitioning\": ") +
-          (snapshot->new_map.has_value() ? "true" : "false");
-  if (snapshot->new_map.has_value()) {
-    body += ", \"new_map_digest\": \"" + snapshot->new_digest_hex + "\"";
-  }
-  body += ", \"aggregate\": {";
-  bool first = true;
-  for (const Field& field : fields) {
-    if (!first) body += ", ";
-    first = false;
-    body += "\"" + std::string(field.section) + "_" + field.key + "\": " +
-            std::to_string(static_cast<long long>(field.sum));
-  }
-  body += "}, \"shards\": [" + shards_json + "]}\n";
-
-  HttpResponse response;
-  response.body = std::move(body);
-  return response;
-}
-
-HttpResponse ShardRouter::HandleMetrics() {
-  auto snapshot = maps();
-  std::vector<AddressedEndpoint> targets = AddressedEndpoints(*snapshot);
-  std::vector<HttpResponse> responses =
-      ForwardAll(targets, "GET", "/v1/metrics", options_.read_timeout_seconds);
+HttpResponse ShardRouter::HandleMetrics(const HttpRequest&) {
+  const std::vector<AddressedEndpoint> targets = AddressedEndpoints(*maps());
+  std::vector<HttpResponse> responses = ForwardAll(targets, "GET", "/v1/metrics");
 
   // Aggregate the backend scrapes into one Prometheus page: identical
   // series (same name and label set) are SUMMED — counters add, histogram
@@ -851,8 +678,10 @@ HttpResponse ShardRouter::HandleMetrics() {
     }
   }
   // Router-local series last; htd_router_* names never collide with the
-  // summed backend families.
+  // summed backend families. The health rows are for the SAME target list
+  // the scrape used, so a racing transition cannot misattribute them.
   body += metrics_.RenderPrometheus();
+  body += RenderEndpointSeries(targets);
 
   HttpResponse response;
   // Prometheus text exposition format 0.0.4.
@@ -862,21 +691,10 @@ HttpResponse ShardRouter::HandleMetrics() {
   return response;
 }
 
-HttpResponse ShardRouter::HandleTrace(const HttpRequest& request) {
-  long n;
-  if (!util::ParseIntFlag(request.QueryOr("n", "16"), 1, 256, &n)) {
-    return ErrorResponse(400, "query parameter n must be an integer in [1, 256]");
-  }
-  HttpResponse response;
-  response.body = RenderRecentTracesJson(static_cast<size_t>(n));
-  return response;
-}
-
-HttpResponse ShardRouter::HandleSnapshot() {
-  auto snapshot = maps();
-  std::vector<AddressedEndpoint> targets = AddressedEndpoints(*snapshot);
-  std::vector<HttpResponse> responses = ForwardAll(
-      targets, "POST", "/v1/admin/snapshot", options_.read_timeout_seconds);
+HttpResponse ShardRouter::HandleSnapshot(const HttpRequest&) {
+  const std::vector<AddressedEndpoint> targets = AddressedEndpoints(*maps());
+  std::vector<HttpResponse> responses =
+      ForwardAll(targets, "POST", "/v1/admin/snapshot");
   bool all_saved = true;
   std::string shards_json;
   for (size_t i = 0; i < targets.size(); ++i) {
@@ -901,37 +719,18 @@ HttpResponse ShardRouter::HandleSnapshot() {
 }
 
 HttpResponse ShardRouter::HandleTransition(const HttpRequest& request) {
-  if (request.QueryOr("complete", "0") == "1") {
-    auto status = CompleteTransition();
+  const bool complete = request.QueryOr("complete", "0") == "1";
+  if (complete || request.QueryOr("abort", "0") == "1") {
+    auto status = complete ? CompleteTransition() : AbortTransition();
     if (!status.ok()) return ErrorResponse(412, status.message());
-    auto snapshot = maps();
     HttpResponse response;
     response.body = "{\"transitioning\": false, \"map_digest\": \"" +
-                    snapshot->digest_hex + "\", \"completed\": true}\n";
+                    maps()->digest_hex + "\", \"" +
+                    (complete ? "completed" : "aborted") + "\": true}\n";
     return response;
   }
-  if (request.QueryOr("abort", "0") == "1") {
-    auto status = AbortTransition();
-    if (!status.ok()) return ErrorResponse(412, status.message());
-    auto snapshot = maps();
-    HttpResponse response;
-    response.body = "{\"transitioning\": false, \"map_digest\": \"" +
-                    snapshot->digest_hex + "\", \"aborted\": true}\n";
-    return response;
-  }
-  if (request.body.empty()) {
-    return ErrorResponse(400, "empty body: expected the new shard map spec "
-                              "(host:port,host:port*2,...)");
-  }
-  std::string spec = request.body;
-  while (!spec.empty() && (spec.back() == '\n' || spec.back() == '\r')) {
-    spec.pop_back();
-  }
-  auto new_map = service::ShardMap::Parse(spec);
-  if (!new_map.ok()) {
-    return ErrorResponse(400, "cannot parse new shard map: " +
-                                  new_map.status().message());
-  }
+  auto new_map = ParseShardMapBody(request.body);
+  if (!new_map.ok()) return ErrorResponse(400, new_map.status().message());
   auto status = BeginTransition(*new_map);
   if (!status.ok()) {
     return ErrorResponse(

@@ -19,7 +19,7 @@
 // be served by R replicas. The router round-robins decompose requests over
 // a range's replicas and FAILS OVER to the next replica on a transport
 // error or backoff window, so one dead replica costs a connect timeout
-// once, not availability; fan-out routes (stats/snapshot) and migration
+// once, not availability; fan-out routes (metrics/snapshot) and migration
 // imports address every replica, which is what keeps a surviving replica
 // warm enough to make shard death a non-event.
 //
@@ -54,14 +54,17 @@
 // state to the exact minting process (replicas mint independent counters) —
 // polls try every replica of the range); /v1/query routes identically but
 // keys on the fingerprint of the QUERY'S HYPERGRAPH (qa/wire.h body), so
-// repeated queries warm the shard that owns them; /v1/stats fans out to every
-// endpoint and returns per-endpoint bodies plus an aggregated summary;
-// /v1/metrics fans out and returns one Prometheus text page with identical
-// backend series summed plus the router's own htd_router_* series appended;
+// repeated queries warm the shard that owns them; /v1/metrics fans out and
+// returns one Prometheus text page with identical backend series summed,
+// then the router's own htd_router_* series, per-endpoint health rows
+// included;
 // /v1/trace?n=K answers locally with the router's recent root spans;
 // /v1/admin/snapshot fans out (each process persists its own range);
 // /v1/admin/transition begins/completes/aborts a live reshard;
 // /healthz answers locally with per-endpoint reachability.
+//
+// The routes come from one RouteTable (net/routes.h), behind the 508
+// loop check.
 //
 // Observability: every forwarded /v1/decompose carries an
 // X-HTD-Request-Id the backend adopts as its root span id, so the router's
@@ -83,6 +86,7 @@
 #include <vector>
 
 #include "net/http.h"
+#include "net/routes.h"
 #include "service/shard_map.h"
 #include "util/metrics.h"
 #include "util/status.h"
@@ -113,17 +117,15 @@ class ShardRouter {
   /// replicated range contributes one row per replica). Rows are ordered
   /// (range, replica) over the current map, then any endpoints only present
   /// in the incoming map while a transition is in flight (range = their
-  /// range under the NEW map, new_map_only = true).
+  /// range under the NEW map).
   struct ShardStats {
     std::string host;
     int port = 0;
     int range = 0;                ///< fingerprint range this endpoint serves
     int replica = 0;              ///< replica slot within the range
-    bool new_map_only = false;    ///< only addressable under the incoming map
     uint64_t forwarded = 0;       ///< exchanges attempted against this endpoint
     uint64_t transport_errors = 0;///< connect/send/recv/parse failures
     uint64_t backoff_shed = 0;    ///< skips without touching the socket
-    int consecutive_failures = 0;
     bool backing_off = false;     ///< true while inside the backoff window
   };
 
@@ -140,7 +142,8 @@ class ShardRouter {
   std::vector<ShardStats> shard_stats() const;
 
   /// The router's own registry (per-route latency histograms, rendered at
-  /// the tail of the aggregated /v1/metrics page as htd_router_* series).
+  /// the tail of the aggregated /v1/metrics page as htd_router_* series
+  /// ahead of the per-endpoint health rows).
   util::MetricsRegistry& metrics() { return metrics_; }
 
   /// Installs `new_map` as the incoming topology and starts double-routing
@@ -154,9 +157,7 @@ class ShardRouter {
   util::Status CompleteTransition();
   /// Drops the incoming map without flipping (?abort=1).
   util::Status AbortTransition();
-  bool transitioning() const;
-  /// The map currently routed by (the OLD map mid-transition).
-  service::ShardMap current_map() const;
+  bool transitioning() const { return maps()->new_map.has_value(); }
 
  private:
   struct EndpointHealth {
@@ -186,23 +187,23 @@ class ShardRouter {
 
   std::shared_ptr<const Maps> maps() const;
 
-  /// Route dispatch body; Handle() wraps it with the per-route latency
-  /// histogram observation.
-  HttpResponse Dispatch(const HttpRequest& request);
+  /// The route table (built once, by the constructor).
+  std::vector<Route> Routes();
 
-  HttpResponse HandleDecompose(const HttpRequest& request);
-  HttpResponse HandleQuery(const HttpRequest& request);
+  HttpResponse HandleHealth(const HttpRequest& request);
+  /// POST /v1/decompose and /v1/query: a 400 for an empty or unparseable
+  /// body (never forwarded), else the body's owning range by its
+  /// Body::Fingerprint, the same key the backend admits it under.
+  template <typename Body>
+  HttpResponse HandleBody(const HttpRequest& request);
   HttpResponse HandleJob(const HttpRequest& request);
-  HttpResponse HandleStats();
-  HttpResponse HandleMetrics();
-  HttpResponse HandleTrace(const HttpRequest& request);
-  HttpResponse HandleSnapshot();
+  HttpResponse HandleMetrics(const HttpRequest& request);
+  HttpResponse HandleSnapshot(const HttpRequest& request);
   HttpResponse HandleTransition(const HttpRequest& request);
 
-  /// Shared forwarding tail of HandleDecompose and HandleQuery: route
-  /// `request` to the range owning `fp` under the current map, double-route
-  /// mid-transition, prefix async job ids, and guarantee an
-  /// X-HTD-Request-Id on the way out.
+  /// Forwarding tail of HandleBody: route `request` to the range owning
+  /// `fp` under the current map, double-route mid-transition, prefix async
+  /// job ids, and guarantee an X-HTD-Request-Id on the way out.
   HttpResponse RouteByFingerprint(const HttpRequest& request,
                                   const service::Fingerprint& fp);
 
@@ -251,7 +252,6 @@ class ShardRouter {
     service::ShardEndpoint endpoint;
     int range = 0;
     int replica = 0;
-    bool new_map_only = false;
     std::string digest_hex;  ///< digest of the map this endpoint is under
   };
   static std::vector<AddressedEndpoint> AddressedEndpoints(const Maps& maps);
@@ -262,12 +262,18 @@ class ShardRouter {
   /// endpoints on a router IO thread.
   std::vector<HttpResponse> ForwardAll(
       const std::vector<AddressedEndpoint>& targets, const std::string& method,
-      const std::string& target, double read_timeout_seconds);
+      const std::string& target);
 
   /// Health rows for exactly `targets`, index-aligned — callers that pair
   /// health with per-endpoint responses pass the SAME target list to both,
   /// so a concurrent transition cannot misalign the rows.
   std::vector<ShardStats> StatsForTargets(
+      const std::vector<AddressedEndpoint>& targets) const;
+
+  /// Prometheus text of the per-endpoint health rows for exactly `targets`:
+  /// htd_router_{forwarded,transport_errors,backoff_shed}_total and
+  /// htd_router_backing_off, labelled by endpoint, range and replica.
+  std::string RenderEndpointSeries(
       const std::vector<AddressedEndpoint>& targets) const;
 
   static std::string HealthKey(const service::ShardEndpoint& endpoint) {
@@ -284,6 +290,8 @@ class ShardRouter {
   /// Router-local metrics; family names are htd_router_* so the aggregated
   /// /v1/metrics page never collides with summed backend series.
   util::MetricsRegistry metrics_;
+  /// After metrics_, which it registers its latency series on.
+  RouteTable routes_;
   mutable std::mutex maps_mutex_;
   std::shared_ptr<const Maps> maps_;  // swapped by transitions
 

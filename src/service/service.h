@@ -137,8 +137,8 @@ class DecompositionService {
 
   /// The service's metric registry: stage latency histograms (observed by
   /// the scheduler), component counters registered as callbacks — derived
-  /// counters before their totals, so one Snapshot() never reports a part
-  /// exceeding its whole (the /v1/stats consistency contract). The HTTP
+  /// counters before their totals, so one rendered page never reports a
+  /// part exceeding its whole. The HTTP
   /// front-end adds its own parse/serialise histograms and admission
   /// counters here and renders the whole thing at /v1/metrics.
   util::MetricsRegistry& metrics() { return metrics_; }

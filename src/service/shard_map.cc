@@ -25,6 +25,19 @@ std::string_view TrimSpaces(std::string_view text) {
 
 }  // namespace
 
+util::StatusOr<ShardEndpoint> ShardEndpoint::Parse(std::string_view text) {
+  size_t colon = text.rfind(':');
+  long port;
+  if (colon == std::string_view::npos || colon == 0 ||
+      !util::ParseIntFlag(text.substr(colon + 1), 1, 65535, &port)) {
+    return util::Status::InvalidArgument(
+        "endpoint \"" + std::string(text) +
+        "\" is not host:port with a port in [1, 65535]");
+  }
+  return ShardEndpoint{std::string(text.substr(0, colon)),
+                       static_cast<int>(port)};
+}
+
 ShardMap::ShardMap(std::vector<std::vector<ShardEndpoint>> replicas)
     : replicas_(std::move(replicas)) {
   HTD_CHECK_GE(replicas_.size(), 1u);
@@ -63,19 +76,12 @@ util::StatusOr<ShardMap> ShardMap::Parse(const std::string& spec) {
       }
       item = item.substr(0, star);
     }
-    size_t colon = item.rfind(':');
-    if (colon == std::string_view::npos || colon == 0) {
-      return util::Status::InvalidArgument(
-          "shard map: endpoint \"" + std::string(item) +
-          "\" is not host:port");
+    auto parsed = ShardEndpoint::Parse(item);
+    if (!parsed.ok()) {
+      return util::Status::InvalidArgument("shard map: " +
+                                           parsed.status().message());
     }
-    long port;
-    if (!util::ParseIntFlag(item.substr(colon + 1), 1, 65535, &port)) {
-      return util::Status::InvalidArgument(
-          "shard map: bad port in \"" + std::string(item) + "\"");
-    }
-    ShardEndpoint endpoint{std::string(item.substr(0, colon)),
-                           static_cast<int>(port)};
+    ShardEndpoint endpoint = std::move(*parsed);
     for (const auto& range : replicas) {
       for (const ShardEndpoint& existing : range) {
         if (existing == endpoint) {

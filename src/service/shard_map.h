@@ -36,6 +36,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/canonical.h"
@@ -44,6 +45,11 @@
 namespace htd::service {
 
 struct ShardEndpoint {
+  /// Parses "host:port": a non-empty host, the last ':', and a port in
+  /// [1, 65535]. InvalidArgument otherwise. The one reader of endpoints in
+  /// shard maps, flags and query parameters.
+  static util::StatusOr<ShardEndpoint> Parse(std::string_view text);
+
   std::string host;
   int port = 0;
 

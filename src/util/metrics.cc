@@ -88,25 +88,6 @@ MetricsRegistry::Entry* MetricsRegistry::Find(const std::string& name,
   return nullptr;
 }
 
-std::vector<MetricSample> MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<MetricSample> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) {
-    if (entry->histogram != nullptr) continue;
-    MetricSample sample;
-    sample.name = entry->name;
-    sample.labels = entry->labels;
-    if (entry->counter != nullptr) {
-      sample.value = static_cast<double>(entry->counter->Value());
-    } else if (entry->callback) {
-      sample.value = entry->callback();
-    }
-    out.push_back(std::move(sample));
-  }
-  return out;
-}
-
 std::string FormatMetricValue(double value) {
   if (std::isfinite(value) && value == std::floor(value) &&
       std::fabs(value) < 1e15) {

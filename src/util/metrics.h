@@ -4,10 +4,10 @@
 // The registry is instantiable (not a singleton): each DecompositionService
 // owns one, so tests running several servers in one process keep their
 // counters separate. Updates are relaxed atomics; registration takes a
-// mutex once per metric. Snapshot() reads every metric exactly once, in
-// registration order — register derived counters before their totals
-// (cache hits before submissions) and a single snapshot can never report
-// a part exceeding its whole, which is the /v1/stats consistency fix.
+// mutex once per metric. RenderPrometheus() reads every metric exactly
+// once, in registration order — register derived counters before their
+// totals (cache hits before submissions) and one page can never report a
+// part exceeding its whole.
 #pragma once
 
 #include <atomic>
@@ -59,13 +59,6 @@ class Histogram {
   std::atomic<uint64_t> sum_ns_{0};
 };
 
-/// One sampled value in a registry snapshot.
-struct MetricSample {
-  std::string name;
-  std::string labels;  ///< rendered label list without braces, may be empty
-  double value = 0.0;
-};
-
 class MetricsRegistry {
  public:
   /// Returns the counter registered under (name, labels), creating it on
@@ -74,7 +67,7 @@ class MetricsRegistry {
   Histogram& GetHistogram(const std::string& name,
                           const std::string& labels = "");
 
-  /// Registers a callback sampled at snapshot/render time. `type` is the
+  /// Registers a callback sampled at render time. `type` is the
   /// Prometheus type to advertise ("gauge" or "counter").
   void RegisterCallback(const std::string& name, const std::string& labels,
                         const std::string& type,
@@ -82,10 +75,6 @@ class MetricsRegistry {
 
   /// Attaches a HELP line to a metric family.
   void SetHelp(const std::string& name, const std::string& help);
-
-  /// Reads every counter and callback exactly once, in registration
-  /// order. Histograms are excluded (render-only).
-  std::vector<MetricSample> Snapshot() const;
 
   /// Prometheus text exposition (version 0.0.4) of everything registered.
   std::string RenderPrometheus() const;

@@ -648,9 +648,10 @@ TEST(SweepTest, PullsSiblingWarmStateAndConverges) {
   EXPECT_NE(again.body.find("\"slices_pulled\": 0"), std::string::npos)
       << "equal digests must not trigger pulls: " << again.body;
 
-  WireResponse stats = Exchange(pb, "GET", "/v1/stats");
-  EXPECT_NE(stats.body.find("\"anti_entropy\""), std::string::npos) << stats.body;
-  EXPECT_NE(stats.body.find("\"rounds_ok\": 2"), std::string::npos) << stats.body;
+  WireResponse metrics = Exchange(pb, "GET", "/v1/metrics");
+  EXPECT_NE(metrics.body.find("htd_antientropy_rounds_total{result=\"ok\"} 2\n"),
+            std::string::npos)
+      << metrics.body;
   EXPECT_EQ(b->anti_entropy_stats().rounds_ok, 2u);
   EXPECT_GE(b->anti_entropy_stats().bytes_pulled, 1u);
 

@@ -27,6 +27,7 @@
 #include "cq/query.h"
 #include "net/http.h"
 #include "qa/wire.h"
+#include "service/canonical.h"
 #include "util/socket.h"
 
 namespace htd::net {
@@ -77,6 +78,62 @@ DecompositionServerOptions BaseOptions() {
 
 std::string PathInstance() { return WriteHyperBench(MakePath(5)); }
 
+/// An in-process request for DecompositionServer::Handle (no socket).
+HttpRequest Request(const std::string& method, const std::string& target,
+                    std::string body = "",
+                    std::map<std::string, std::string> headers = {}) {
+  HttpRequest request;
+  request.method = method;
+  request.target = target;
+  size_t q = target.find('?');
+  request.path = target.substr(0, q);
+  if (q != std::string::npos) {
+    std::string query = target.substr(q + 1);
+    while (!query.empty()) {
+      size_t amp = query.find('&');
+      std::string pair = query.substr(0, amp);
+      size_t eq = pair.find('=');
+      request.query[pair.substr(0, eq)] =
+          eq == std::string::npos ? "" : pair.substr(eq + 1);
+      query = amp == std::string::npos ? "" : query.substr(amp + 1);
+    }
+  }
+  request.version = "HTTP/1.1";
+  request.headers = std::move(headers);
+  request.body = std::move(body);
+  return request;
+}
+
+/// Value of a response header as the handler set it; empty when absent.
+std::string HeaderOf(const HttpResponse& response, const std::string& name) {
+  for (const auto& [key, value] : response.headers) {
+    if (key == name) return value;
+  }
+  return "";
+}
+
+/// The job id in a 202 body ({"job": "<id>", ...}).
+std::string JobIdOf(const std::string& body) {
+  size_t start = body.find("\"job\": \"");
+  if (start == std::string::npos) return "";
+  start += 8;
+  return body.substr(start, body.find('"', start) - start);
+}
+
+/// Stage names of a Server-Timing value, in order ("parse;dur=1, ...").
+std::vector<std::string> TimingStages(const std::string& timing) {
+  std::vector<std::string> stages;
+  size_t pos = 0;
+  while (pos < timing.size()) {
+    size_t end = timing.find(", ", pos);
+    if (end == std::string::npos) end = timing.size();
+    std::string entry = timing.substr(pos, end - pos);
+    stages.push_back(entry.substr(0, entry.find(';')));
+    pos = end + 2;
+  }
+  return stages;
+}
+
 TEST(NetServerTest, DecomposeSyncAndCacheHit) {
   auto server = DecompositionServer::Create(BaseOptions());
   ASSERT_TRUE(server.ok()) << server.status().message();
@@ -96,9 +153,11 @@ TEST(NetServerTest, DecomposeSyncAndCacheHit) {
   EXPECT_EQ(second.status, 200);
   EXPECT_NE(second.body.find("\"cache_hit\": true"), std::string::npos) << second.body;
 
-  WireResponse stats = Exchange(port, "GET", "/v1/stats");
-  EXPECT_EQ(stats.status, 200);
-  EXPECT_NE(stats.body.find("\"cache_hits\": 1"), std::string::npos) << stats.body;
+  WireResponse metrics = Exchange(port, "GET", "/v1/metrics");
+  EXPECT_EQ(metrics.status, 200);
+  EXPECT_NE(metrics.body.find("\nhtd_scheduler_cache_hits_total 1\n"),
+            std::string::npos)
+      << metrics.body;
   (*server)->Stop();
 }
 
@@ -121,8 +180,11 @@ TEST(NetServerTest, ValidationAndRouting) {
   EXPECT_EQ(Exchange(port, "GET", "/v1/jobs/j999").status, 404);
   EXPECT_EQ(Exchange(port, "GET", "/healthz").status, 200);
 
-  WireResponse stats = Exchange(port, "GET", "/v1/stats");
-  EXPECT_NE(stats.body.find("\"bad_requests\": 4"), std::string::npos) << stats.body;
+  WireResponse metrics = Exchange(port, "GET", "/v1/metrics");
+  EXPECT_NE(metrics.body.find(
+                "htd_admission_requests_total{result=\"bad_request\"} 4\n"),
+            std::string::npos)
+      << metrics.body;
   (*server)->Stop();
 }
 
@@ -183,8 +245,10 @@ TEST(NetServerTest, AdmissionControlShedsWith429) {
   EXPECT_EQ(accepted, 2) << "bounded queue must stop admitting at the bound";
   EXPECT_EQ(shed, 4);
 
-  WireResponse stats = Exchange(port, "GET", "/v1/stats");
-  EXPECT_NE(stats.body.find("\"shed\": 4"), std::string::npos) << stats.body;
+  WireResponse metrics = Exchange(port, "GET", "/v1/metrics");
+  EXPECT_NE(metrics.body.find("htd_admission_requests_total{result=\"shed\"} 4\n"),
+            std::string::npos)
+      << metrics.body;
 
   // Stop() cancels the pinned solves; it must return promptly rather than
   // wait out the 30 s deadlines.
@@ -224,7 +288,7 @@ TEST(NetServerTest, SyncFloodShedsAtTheConnectionBound) {
   // with 503 at the transport instead of queueing in the IO pool.
   WireResponse shed;
   for (int i = 0; i < 200; ++i) {
-    shed = Exchange(port, "GET", "/v1/stats");
+    shed = Exchange(port, "GET", "/v1/metrics");
     if (shed.status == 503) break;
     std::this_thread::sleep_for(10ms);
   }
@@ -308,10 +372,11 @@ TEST(NetServerTest, AsyncQueryJobsCountAgainstTheAdmissionBound) {
   EXPECT_LE(accepted, 2) << "the bound must stop admitting query jobs";
   EXPECT_GE(shed, 6);
 
-  WireResponse stats = Exchange(port, "GET", "/v1/stats");
-  EXPECT_NE(stats.body.find("\"shed\": " + std::to_string(shed)),
+  WireResponse metrics = Exchange(port, "GET", "/v1/metrics");
+  EXPECT_NE(metrics.body.find("htd_admission_requests_total{result=\"shed\"} " +
+                              std::to_string(shed) + "\n"),
             std::string::npos)
-      << stats.body;
+      << metrics.body;
 
   // Stop() must cancel the pinned probes AND wait out the query tasks —
   // returning while one still runs would be a use-after-free.
@@ -354,9 +419,10 @@ TEST(NetServerTest, SnapshotWarmRestartServesCacheHits) {
     EXPECT_NE(replay.body.find("\"cache_hit\": true"), std::string::npos)
         << "warm restart must serve previously-solved instances from cache: "
         << replay.body;
-    WireResponse stats = Exchange(port, "GET", "/v1/stats");
-    EXPECT_NE(stats.body.find("\"restored_cache_entries\": 2"), std::string::npos)
-        << stats.body;
+    WireResponse metrics = Exchange(port, "GET", "/v1/metrics");
+    EXPECT_NE(metrics.body.find("htd_restored_entries{kind=\"cache\"} 2\n"),
+              std::string::npos)
+        << metrics.body;
     (*server)->Stop();
   }
   std::filesystem::remove(path);
@@ -488,7 +554,7 @@ TEST(NetServerTest, MetricsEndpointRendersPrometheusText) {
   (*server)->Stop();
 }
 
-TEST(NetServerTest, StatsReadFromOneSnapshotStayConsistent) {
+TEST(NetServerTest, MetricsCarryTheAdmissionAndSchedulerCounters) {
   auto server = DecompositionServer::Create(BaseOptions());
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE((*server)->Start().ok());
@@ -496,15 +562,22 @@ TEST(NetServerTest, StatsReadFromOneSnapshotStayConsistent) {
 
   ASSERT_EQ(
       Exchange(port, "POST", "/v1/decompose?k=2", PathInstance()).status, 200);
-  WireResponse stats = Exchange(port, "GET", "/v1/stats");
-  ASSERT_EQ(stats.status, 200);
-  // The pre-observability key set survives the snapshot rewrite.
-  for (const char* key :
-       {"\"admitted\"", "\"shed\"", "\"bad_requests\"", "\"submitted\"",
-        "\"completed\"", "\"cache_hits\"", "\"queue_depth\""}) {
-    EXPECT_NE(stats.body.find(key), std::string::npos)
-        << "missing stats key " << key << " in: " << stats.body;
+  WireResponse metrics = Exchange(port, "GET", "/v1/metrics");
+  ASSERT_EQ(metrics.status, 200);
+  // The counter set operators read survives on the one stats surface.
+  for (const char* series :
+       {"htd_admission_requests_total{result=\"admitted\"} ",
+        "htd_admission_requests_total{result=\"shed\"} ",
+        "htd_admission_requests_total{result=\"bad_request\"} ",
+        "htd_scheduler_submitted_total ", "htd_scheduler_completed_total ",
+        "htd_scheduler_cache_hits_total ", "htd_queue_depth ",
+        "htd_restored_entries{kind=\"cache\"} ", "htd_shard_index -1\n",
+        "htd_shard_transitioning 0\n"}) {
+    EXPECT_NE(metrics.body.find(std::string("\n") + series), std::string::npos)
+        << "missing series " << series << " in: " << metrics.body;
   }
+  EXPECT_EQ(Exchange(port, "GET", "/v1/stats").status, 404)
+      << "/v1/metrics is the only stats surface";
   (*server)->Stop();
 }
 
@@ -514,6 +587,364 @@ TEST(NetServerTest, SnapshotRouteWithoutPathIs412) {
   ASSERT_TRUE((*server)->Start().ok());
   EXPECT_EQ(Exchange((*server)->port(), "POST", "/v1/admin/snapshot").status, 412);
   (*server)->Stop();
+}
+
+TEST(NetServerTest, EveryRouteReachesItsHandlerAndRefusesOtherMethods) {
+  auto server = DecompositionServer::Create(BaseOptions());
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  DecompositionServer& backend = **server;
+
+  // Each route, a method that reaches its handler, the method it refuses
+  // (null: the route takes any method), and its latency-histogram label.
+  // "Reaches its handler" means anything but 405 and the unknown-route 404:
+  // an empty body, an unsharded server or a missing snapshot path is the
+  // handler's own refusal.
+  struct Row {
+    const char* method;
+    const char* target;
+    const char* wrong_method;
+    const char* label;
+  };
+  const Row rows[] = {
+      {"GET", "/healthz", nullptr, "healthz"},
+      {"POST", "/v1/decompose", "GET", "decompose"},
+      {"POST", "/v1/query", "GET", "query"},
+      {"GET", "/v1/jobs/j999", "POST", "jobs"},
+      {"GET", "/v1/metrics", "POST", "metrics"},
+      {"GET", "/v1/trace", "POST", "trace"},
+      {"POST", "/v1/admin/snapshot", "GET", "admin"},
+      {"GET", "/v1/admin/export", "POST", "admin"},
+      {"POST", "/v1/admin/import", "GET", "admin"},
+      {"POST", "/v1/admin/migrate", "GET", "admin"},
+      {"GET", "/v1/admin/digest", "POST", "admin"},
+      {"POST", "/v1/admin/antientropy", "GET", "admin"},
+  };
+  std::map<std::string, int> observed;
+  for (const Row& row : rows) {
+    HttpResponse reached = backend.Handle(Request(row.method, row.target));
+    EXPECT_NE(reached.status, 405) << row.method << " " << row.target;
+    EXPECT_EQ(reached.body.find("unknown route"), std::string::npos)
+        << row.method << " " << row.target << ": " << reached.body;
+    ++observed[row.label];
+    if (row.wrong_method != nullptr) {
+      EXPECT_EQ(backend.Handle(Request(row.wrong_method, row.target)).status,
+                405)
+          << row.wrong_method << " " << row.target;
+      ++observed[row.label];
+    }
+  }
+  for (const char* path : {"/nope", "/v1/stats"}) {
+    HttpResponse unknown = backend.Handle(Request("GET", path));
+    EXPECT_EQ(unknown.status, 404) << path;
+    EXPECT_NE(unknown.body.find("unknown route"), std::string::npos) << path;
+    ++observed["other"];
+  }
+
+  const std::string page = backend.Handle(Request("GET", "/v1/metrics")).body;
+  for (const auto& [label, count] : observed) {
+    const std::string line = "htd_request_seconds_count{route=\"" + label +
+                             "\"} " + std::to_string(count) + "\n";
+    EXPECT_NE(page.find(line), std::string::npos) << "missing " << line;
+  }
+}
+
+/// A sharded server (range 0 of a two-range map) plus, for each
+/// hypergraph-bearing route, one body this shard owns, one the other shard
+/// owns, and one that does not parse.
+struct AdmissionCase {
+  const char* route;
+  std::string target;
+  std::string owned;
+  std::string foreign;
+  std::string garbage;
+  std::vector<std::string> stages;  ///< Server-Timing stages, in order
+};
+
+std::string ChainQueryBody(int length, service::Fingerprint* fp) {
+  std::string atoms;
+  for (int i = 0; i < length; ++i) {
+    if (!atoms.empty()) atoms += ", ";
+    atoms += "R" + std::to_string(i) + "(V" + std::to_string(i) + ",V" +
+             std::to_string(i + 1) + ")";
+  }
+  auto query = cq::ParseQuery(atoms + ".");
+  EXPECT_TRUE(query.ok()) << query.status().message();
+  cq::Database db;
+  for (int i = 0; i < length; ++i) {
+    db.AddRelation({"R" + std::to_string(i), 2, {{1, 1}, {2, 3}}});
+  }
+  *fp = service::CanonicalFingerprint(cq::QueryHypergraph(*query));
+  auto body = qa::RenderQueryRequest(*query, db);
+  EXPECT_TRUE(body.ok()) << body.status().message();
+  return *body;
+}
+
+std::vector<AdmissionCase> AdmissionCases(const service::ShardMap& map) {
+  AdmissionCase decompose{"decompose", "/v1/decompose?k=2", "", "", "((((",
+                          {"parse", "fingerprint", "cache", "schedule",
+                           "solve", "serialise"}};
+  AdmissionCase query{"query", "/v1/query", "", "", "HTDQUERY1 garbage\n",
+                      {"parse", "decompose", "pick", "execute", "serialise"}};
+  for (int length = 3; length < 40; ++length) {
+    Hypergraph graph = MakePath(length);
+    std::string& slot =
+        map.IndexFor(service::CanonicalFingerprint(graph)) == 0
+            ? decompose.owned
+            : decompose.foreign;
+    if (slot.empty()) slot = WriteHyperBench(graph);
+    service::Fingerprint fp;
+    std::string body = ChainQueryBody(length, &fp);
+    std::string& query_slot =
+        map.IndexFor(fp) == 0 ? query.owned : query.foreign;
+    if (query_slot.empty()) query_slot = body;
+  }
+  return {decompose, query};
+}
+
+TEST(NetServerTest, AdmissionIsTheSameOnDecomposeAndQuery) {
+  DecompositionServerOptions options = BaseOptions();
+  options.max_queue_depth = 1;
+  options.retry_after_seconds = 3;
+  auto map = service::ShardMap::Parse("127.0.0.1:1001,127.0.0.1:1002");
+  ASSERT_TRUE(map.ok());
+  options.shard_map = *map;
+  options.shard_index = 0;
+  auto server = DecompositionServer::Create(options);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  ASSERT_TRUE((*server)->Start().ok());
+  DecompositionServer& backend = **server;
+  const std::string digest = map->DigestHex();
+  service::Fingerprint in_range, out_of_range;
+  in_range.hi = 1;
+  out_of_range.hi = ~0ULL;
+
+  uint64_t admitted = 0, bad = 0, misrouted = 0, shed = 0;
+  auto expect_counters = [&](const std::string& where) {
+    const auto stats = backend.admission_stats();
+    EXPECT_EQ(stats.admitted, admitted) << where;
+    EXPECT_EQ(stats.bad_requests, bad) << where;
+    EXPECT_EQ(stats.misrouted, misrouted) << where;
+    EXPECT_EQ(stats.shed, shed) << where;
+  };
+
+  const std::vector<AdmissionCase> cases = AdmissionCases(*map);
+  for (const AdmissionCase& c : cases) {
+    SCOPED_TRACE(c.route);
+    ASSERT_FALSE(c.owned.empty());
+    ASSERT_FALSE(c.foreign.empty());
+
+    // Routed by another topology's digest: 421.
+    EXPECT_EQ(backend
+                  .Handle(Request("POST", c.target, c.owned,
+                                  {{"x-htd-shard-digest", "0123456789abcdef"}}))
+                  .status,
+              421);
+    ++misrouted;
+    // Right digest, malformed fingerprint header: 400.
+    EXPECT_EQ(backend
+                  .Handle(Request("POST", c.target, c.owned,
+                                  {{"x-htd-shard-digest", digest},
+                                   {"x-htd-shard-fingerprint", "xyz"}}))
+                  .status,
+              400);
+    ++bad;
+    // Right digest, fingerprint header outside this shard's range: 421.
+    EXPECT_EQ(backend
+                  .Handle(Request("POST", c.target, c.owned,
+                                  {{"x-htd-shard-digest", digest},
+                                   {"x-htd-shard-fingerprint",
+                                    out_of_range.ToHex()}}))
+                  .status,
+              421);
+    ++misrouted;
+    // Empty and unparseable bodies: 400.
+    EXPECT_EQ(backend.Handle(Request("POST", c.target, "")).status, 400);
+    ++bad;
+    EXPECT_EQ(backend.Handle(Request("POST", c.target, c.garbage)).status, 400);
+    ++bad;
+    // An unhashed sender's foreign body: this shard fingerprints it itself.
+    HttpResponse foreign = backend.Handle(Request("POST", c.target, c.foreign));
+    EXPECT_EQ(foreign.status, 421) << foreign.body;
+    EXPECT_NE(foreign.body.find("belongs to shard 1"), std::string::npos)
+        << foreign.body;
+    ++misrouted;
+    expect_counters("refusals");
+
+    // An owned body is admitted; a propagated request id is adopted, a
+    // malformed one replaced, and Server-Timing names the route's stages.
+    const std::string id = "00deadbeef00f00d";
+    HttpResponse served = backend.Handle(
+        Request("POST", c.target, c.owned, {{"x-htd-request-id", id}}));
+    EXPECT_EQ(served.status, 200) << served.body;
+    ++admitted;
+    EXPECT_EQ(HeaderOf(served, "X-HTD-Request-Id"), id);
+    EXPECT_EQ(TimingStages(HeaderOf(served, "Server-Timing")), c.stages)
+        << HeaderOf(served, "Server-Timing");
+    HttpResponse renamed = backend.Handle(Request(
+        "POST", c.target, c.owned, {{"x-htd-request-id", "not-an-id"}}));
+    EXPECT_EQ(renamed.status, 200);
+    ++admitted;
+    EXPECT_TRUE(IsHex16(HeaderOf(renamed, "X-HTD-Request-Id")))
+        << HeaderOf(renamed, "X-HTD-Request-Id");
+    // A sender that hashed with this map is trusted without re-hashing.
+    EXPECT_EQ(backend
+                  .Handle(Request("POST", c.target, c.foreign,
+                                  {{"x-htd-shard-digest", digest},
+                                   {"x-htd-shard-fingerprint",
+                                    in_range.ToHex()}}))
+                  .status,
+              200);
+    ++admitted;
+
+    // Async: a 202 job id that polls to done through /v1/jobs/<id>.
+    const std::string async_target =
+        c.target + (c.target.find('?') == std::string::npos ? "?" : "&") +
+        "async=1";
+    HttpResponse accepted =
+        backend.Handle(Request("POST", async_target, c.owned));
+    ASSERT_EQ(accepted.status, 202) << accepted.body;
+    ++admitted;
+    const std::string job_id = JobIdOf(accepted.body);
+    HttpResponse job;
+    for (int i = 0; i < 500; ++i) {
+      job = backend.Handle(Request("GET", "/v1/jobs/" + job_id));
+      ASSERT_EQ(job.status, 200) << job.body;
+      if (job.body.find("\"state\": \"done\"") != std::string::npos) break;
+      std::this_thread::sleep_for(10ms);
+    }
+    EXPECT_NE(job.body.find("\"state\": \"done\""), std::string::npos)
+        << job.body;
+    EXPECT_NE(job.body.find("\"job\": \"" + job_id + "\""), std::string::npos);
+    expect_counters("admissions");
+  }
+
+  // Shed before parse: with one job outstanding at max_queue_depth 1, both
+  // routes answer 429 + Retry-After, garbage bodies included.
+  // (The async query job above may still be releasing its admission slot
+  // after resolving; a 429 here is that, and counts as shed.)
+  HttpResponse pin;
+  for (int i = 0; i < 500; ++i) {
+    pin = backend.Handle(Request(
+        "POST", "/v1/decompose?k=4&async=1&timeout=60",
+        WriteHyperBench(MakeClique(24)),
+        {{"x-htd-shard-digest", digest},
+         {"x-htd-shard-fingerprint", in_range.ToHex()}}));
+    if (pin.status != 429) break;
+    ++shed;
+    std::this_thread::sleep_for(10ms);
+  }
+  ASSERT_EQ(pin.status, 202) << pin.body;
+  ++admitted;
+  for (const AdmissionCase& c : cases) {
+    SCOPED_TRACE(c.route);
+    for (const std::string* body : {&c.owned, &c.garbage}) {
+      HttpResponse refused = backend.Handle(Request("POST", c.target, *body));
+      EXPECT_EQ(refused.status, 429) << refused.body;
+      EXPECT_EQ(HeaderOf(refused, "Retry-After"), "3");
+      ++shed;
+    }
+  }
+  expect_counters("shed");
+
+  // A stopping server refuses both routes with 503, uncounted.
+  backend.Stop();
+  for (const AdmissionCase& c : cases) {
+    EXPECT_EQ(backend.Handle(Request("POST", c.target, c.owned)).status, 503)
+        << c.route;
+  }
+  expect_counters("stopped");
+}
+
+TEST(NetServerTest, ResolvedJobsAreEvictedOldestFirstAndUnresolvedNever) {
+  constexpr int kRetainedJobs = 1024;  // the server's job retention cap
+  auto server = DecompositionServer::Create(BaseOptions());
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  ASSERT_TRUE((*server)->Start().ok());
+  DecompositionServer& backend = **server;
+
+  // Warm the cache so every later async path job resolves at admission.
+  ASSERT_EQ(backend.Handle(Request("POST", "/v1/decompose?k=2", PathInstance()))
+                .status,
+            200);
+  // The oldest record stays unresolved for the whole test.
+  HttpResponse pin =
+      backend.Handle(Request("POST", "/v1/decompose?k=4&async=1&timeout=60",
+                             WriteHyperBench(MakeClique(24))));
+  ASSERT_EQ(pin.status, 202) << pin.body;
+  const std::string pinned = JobIdOf(pin.body);
+
+  std::vector<std::string> resolved;
+  auto add_resolved = [&] {
+    HttpResponse r = backend.Handle(
+        Request("POST", "/v1/decompose?k=2&async=1", PathInstance()));
+    ASSERT_EQ(r.status, 202) << r.body;
+    resolved.push_back(JobIdOf(r.body));
+  };
+  auto status_of = [&](const std::string& id) {
+    return backend.Handle(Request("GET", "/v1/jobs/" + id)).status;
+  };
+
+  // Filling the table to the cap evicts nothing.
+  for (int i = 0; i + 1 < kRetainedJobs; ++i) add_resolved();
+  EXPECT_EQ(status_of(resolved.front()), 200);
+  // One over: the oldest RESOLVED record goes, the unresolved pin stays.
+  add_resolved();
+  EXPECT_EQ(status_of(resolved[0]), 404);
+  EXPECT_EQ(status_of(resolved[1]), 200);
+  add_resolved();
+  EXPECT_EQ(status_of(resolved[1]), 404);
+  EXPECT_EQ(status_of(resolved[2]), 200);
+  EXPECT_EQ(status_of(resolved.back()), 200);
+  HttpResponse still = backend.Handle(Request("GET", "/v1/jobs/" + pinned));
+  EXPECT_EQ(still.status, 200);
+  EXPECT_NE(still.body.find("\"state\": \"running\""), std::string::npos)
+      << still.body;
+  backend.Stop();
+}
+
+TEST(NetServerTest, OneRetentionCapCoversDecomposeAndQueryJobs) {
+  auto server = DecompositionServer::Create(BaseOptions());
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  ASSERT_TRUE((*server)->Start().ok());
+  DecompositionServer& backend = **server;
+  auto status_of = [&](const std::string& id) {
+    return backend.Handle(Request("GET", "/v1/jobs/" + id)).status;
+  };
+
+  // A resolved query job is the oldest record.
+  service::Fingerprint unused;
+  HttpResponse query = backend.Handle(
+      Request("POST", "/v1/query?async=1", ChainQueryBody(4, &unused)));
+  ASSERT_EQ(query.status, 202) << query.body;
+  const std::string query_job = JobIdOf(query.body);
+  ASSERT_EQ(query_job[0], 'q');
+  for (int i = 0; i < 500; ++i) {
+    if (backend.Handle(Request("GET", "/v1/jobs/" + query_job))
+            .body.find("\"state\": \"done\"") != std::string::npos) {
+      break;
+    }
+    std::this_thread::sleep_for(10ms);
+  }
+
+  // Decompose jobs fill the one table to the cap, then push past it: the
+  // query record goes first, then the oldest decompose record.
+  ASSERT_EQ(backend.Handle(Request("POST", "/v1/decompose?k=2", PathInstance()))
+                .status,
+            200);
+  std::vector<std::string> jobs;
+  for (size_t i = 0; i < DecompositionServer::kMaxRetainedJobs + 1; ++i) {
+    HttpResponse r = backend.Handle(
+        Request("POST", "/v1/decompose?k=2&async=1", PathInstance()));
+    ASSERT_EQ(r.status, 202) << r.body;
+    jobs.push_back(JobIdOf(r.body));
+    if (i + 2 == DecompositionServer::kMaxRetainedJobs) {
+      EXPECT_EQ(status_of(query_job), 200) << "evicted below the cap";
+    }
+  }
+  EXPECT_EQ(status_of(query_job), 404);
+  EXPECT_EQ(status_of(jobs[0]), 404);
+  EXPECT_EQ(status_of(jobs[1]), 200);
+  backend.Stop();
 }
 
 // ---------------------------------------------------------------------------

@@ -48,6 +48,24 @@ TEST(ShardMapTest, ParseRejectsGarbage) {
   EXPECT_TRUE(ShardMap::Parse("a:1").ok());
 }
 
+TEST(ShardMapTest, EndpointParseRejectsMalformedHostPort) {
+  // The one endpoint reader behind shard maps, hdserver --self, the
+  // migrate route's self= parameter and hdreshard --router.
+  for (const char* bad :
+       {"", "hostonly", ":80", "h:", "h:0", "h:65536", "h:12x", "h:-1"}) {
+    EXPECT_FALSE(ShardEndpoint::Parse(bad).ok()) << bad;
+    EXPECT_FALSE(ShardMap::Parse(bad).ok()) << bad;
+  }
+  auto endpoint = ShardEndpoint::Parse("10.0.0.1:65535");
+  ASSERT_TRUE(endpoint.ok()) << endpoint.status().message();
+  EXPECT_EQ(endpoint->host, "10.0.0.1");
+  EXPECT_EQ(endpoint->port, 65535);
+  auto v6 = ShardEndpoint::Parse("::1:8080");  // the LAST colon splits
+  ASSERT_TRUE(v6.ok());
+  EXPECT_EQ(v6->host, "::1");
+  EXPECT_EQ(v6->port, 8080);
+}
+
 TEST(ShardMapTest, DigestSeparatesTopologies) {
   ShardMap two = MustParse("a:1,b:2");
   // Different endpoint, different order, different count: all different

@@ -1,12 +1,13 @@
 // net/shard_router.h end to end: a two-shard fleet of real
 // DecompositionServers behind a router — deterministic fingerprint routing,
-// async job-id prefixing, stats aggregation, per-shard health/backoff, the
+// async job-id prefixing, metrics aggregation, per-shard health/backoff, the
 // single-hop loop guard, and the backends' shard-digest enforcement
 // (DecompositionServerOptions::shard_map).
 #include "net/shard_router.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,15 +121,21 @@ TEST(ShardRouterTest, RoutesDeterministicallyAndWarmStateSplits) {
     EXPECT_EQ(shard->decomposition_service().cache_stats().entries, 1u);
   }
 
-  // Aggregated stats sum across the fleet.
-  HttpResponse stats = fleet.router->Handle(Request("GET", "/v1/stats"));
-  ASSERT_EQ(stats.status, 200);
-  EXPECT_NE(stats.body.find("\"role\": \"router\""), std::string::npos);
-  EXPECT_NE(stats.body.find("\"admission_admitted\": 4"), std::string::npos)
-      << stats.body;
-  EXPECT_NE(stats.body.find("\"cache_entries\": 2"), std::string::npos)
-      << stats.body;
-  EXPECT_NE(stats.body.find("\"reachable\": 2"), std::string::npos) << stats.body;
+  // The router's metrics page sums the fleet and adds one health row per
+  // endpoint (shard 1 saw two decomposes and this page's scrape).
+  HttpResponse metrics = fleet.router->Handle(Request("GET", "/v1/metrics"));
+  ASSERT_EQ(metrics.status, 200);
+  for (const std::string& series :
+       {std::string("\nhtd_fleet_endpoints 2\n"),
+        std::string("\nhtd_fleet_endpoints_scraped 2\n"),
+        std::string("\nhtd_admission_requests_total{result=\"admitted\"} 4\n"),
+        std::string("\nhtd_cache_entries 2\n"),
+        "\nhtd_router_forwarded_total{endpoint=\"127.0.0.1:" +
+            std::to_string(fleet.shards[1]->port()) +
+            "\",range=\"1\",replica=\"0\"} 3\n"}) {
+    EXPECT_NE(metrics.body.find(series), std::string::npos)
+        << "missing " << series << " in: " << metrics.body;
+  }
 
   fleet.Stop();
 }
@@ -206,6 +213,20 @@ TEST(ShardRouterTest, DeadShardBacksOffWith503) {
   EXPECT_EQ(health.status, 200);
   EXPECT_NE(health.body.find("\"backing_off\": 1"), std::string::npos)
       << health.body;
+
+  // So does the router's own part of the metrics page, with no backend
+  // scraped.
+  HttpResponse metrics = router.Handle(Request("GET", "/v1/metrics"));
+  EXPECT_EQ(metrics.status, 502);
+  const std::string labels =
+      "{endpoint=\"127.0.0.1:1\",range=\"0\",replica=\"0\"} ";
+  EXPECT_NE(metrics.body.find("\nhtd_router_transport_errors_total" + labels +
+                              "1\n"),
+            std::string::npos)
+      << metrics.body;
+  EXPECT_NE(metrics.body.find("\nhtd_router_backing_off" + labels + "1\n"),
+            std::string::npos)
+      << metrics.body;
 }
 
 TEST(ShardRouterTest, RouterRejectsGarbageBeforeForwarding) {
@@ -219,6 +240,61 @@ TEST(ShardRouterTest, RouterRejectsGarbageBeforeForwarding) {
   auto stats = router.shard_stats();
   EXPECT_EQ(stats[0].forwarded, 0u)
       << "bad requests must be refused without a forward";
+}
+
+TEST(ShardRouterTest, EveryRouteReachesItsHandlerAndRefusesOtherMethods) {
+  // A dead one-shard map: forwarding routes answer from their own handler
+  // (400 on an empty body, 502/503 for the unreachable shard) without a
+  // live backend.
+  ShardRouterOptions options{MustParse("127.0.0.1:1")};
+  options.connect_timeout_seconds = 1.0;
+  ShardRouter router(std::move(options));
+
+  // Each route, a method that reaches its handler, the method it refuses
+  // (null: the route takes any method), and its latency-histogram label.
+  struct Row {
+    const char* method;
+    const char* target;
+    const char* wrong_method;
+    const char* label;
+  };
+  const Row rows[] = {
+      {"GET", "/healthz", nullptr, "healthz"},
+      {"POST", "/v1/decompose?k=2", "GET", "decompose"},
+      {"POST", "/v1/query", "GET", "query"},
+      {"GET", "/v1/jobs/j7", "POST", "jobs"},
+      {"GET", "/v1/metrics", "POST", "metrics"},
+      {"GET", "/v1/trace", "POST", "trace"},
+      {"POST", "/v1/admin/snapshot", "GET", "admin"},
+      {"POST", "/v1/admin/transition", "GET", "admin"},
+  };
+  std::map<std::string, int> observed;
+  for (const Row& row : rows) {
+    HttpResponse reached = router.Handle(Request(row.method, row.target));
+    EXPECT_NE(reached.status, 405) << row.method << " " << row.target;
+    EXPECT_EQ(reached.body.find("unknown route"), std::string::npos)
+        << row.method << " " << row.target << ": " << reached.body;
+    ++observed[row.label];
+    if (row.wrong_method != nullptr) {
+      EXPECT_EQ(router.Handle(Request(row.wrong_method, row.target)).status,
+                405)
+          << row.wrong_method << " " << row.target;
+      ++observed[row.label];
+    }
+  }
+  for (const char* path : {"/nope", "/v1/stats"}) {
+    HttpResponse unknown = router.Handle(Request("GET", path));
+    EXPECT_EQ(unknown.status, 404) << path;
+    EXPECT_NE(unknown.body.find("unknown route"), std::string::npos) << path;
+    ++observed["other"];
+  }
+
+  const std::string page = router.metrics().RenderPrometheus();
+  for (const auto& [label, count] : observed) {
+    const std::string line = "htd_router_request_seconds_count{route=\"" +
+                             label + "\"} " + std::to_string(count) + "\n";
+    EXPECT_NE(page.find(line), std::string::npos) << "missing " << line;
+  }
 }
 
 TEST(ShardRouterTest, BackendRejectsMismatchedDigestWith421) {

@@ -327,19 +327,22 @@ TEST(MetricsRegistryTest, CounterIdentityByNameAndLabels) {
   EXPECT_EQ(c.Value(), 0u);
 }
 
-TEST(MetricsRegistryTest, SnapshotReadsInRegistrationOrder) {
+TEST(MetricsRegistryTest, RenderReadsInRegistrationOrder) {
+  // Parts registered before their wholes are read first, so one page never
+  // shows a part exceeding its whole.
   MetricsRegistry registry;
   registry.GetCounter("part_total").Add(3);
   registry.GetCounter("whole_total").Add(5);
   registry.RegisterCallback("gauge_now", "", "gauge", [] { return 1.5; });
-  auto samples = registry.Snapshot();
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_EQ(samples[0].name, "part_total");
-  EXPECT_EQ(samples[0].value, 3.0);
-  EXPECT_EQ(samples[1].name, "whole_total");
-  EXPECT_EQ(samples[1].value, 5.0);
-  EXPECT_EQ(samples[2].name, "gauge_now");
-  EXPECT_EQ(samples[2].value, 1.5);
+  const std::string text = registry.RenderPrometheus();
+  const size_t part = text.find("\npart_total 3\n");
+  const size_t whole = text.find("\nwhole_total 5\n");
+  const size_t gauge = text.find("\ngauge_now 1.5\n");
+  ASSERT_NE(part, std::string::npos) << text;
+  ASSERT_NE(whole, std::string::npos) << text;
+  ASSERT_NE(gauge, std::string::npos) << text;
+  EXPECT_LT(part, whole);
+  EXPECT_LT(whole, gauge);
 }
 
 TEST(MetricsRegistryTest, RenderPrometheusShape) {

@@ -4,7 +4,6 @@
 //   $ hdclient decompose instance.hg --k 3 --async      # prints a job id
 //   $ hdclient query request.qr --timeout 5             # HTDQUERY1 body
 //   $ hdclient job j42                                  # or q42 (query job)
-//   $ hdclient stats
 //   $ hdclient metrics                    # /v1/metrics, histograms condensed
 //   $ hdclient trace --last 5             # /v1/trace?n=5
 //   $ hdclient snapshot
@@ -18,7 +17,7 @@
 // fingerprint itself and talks straight to the owning shard — no proxy hop.
 // The shared ShardMap's digest rides along on every request, so a client
 // holding a stale topology is refused with 421 instead of warming the wrong
-// shard. `stats` and `snapshot` fan out to every shard.
+// shard. `metrics`, `trace`, `snapshot` and `sync` fan out to every shard.
 //
 // Speaks HTTP/1.1 over a raw TCP socket (Connection: close per request) —
 // no external dependencies. The response body is printed to stdout.
@@ -85,7 +84,6 @@ void Usage(const char* argv0) {
       "            [--expect-cache-hit]      FILE: HTDQUERY1 query+database\n"
       "                                      (docs/QUERIES.md); '-' = stdin\n"
       "  job ID                              poll an async job (j* or q*)\n"
-      "  stats                               GET /v1/stats\n"
       "  metrics                             GET /v1/metrics (condensed;\n"
       "                                      --verbose prints the raw page)\n"
       "  trace [--last N]                    GET /v1/trace?n=N (default 16)\n"
@@ -95,7 +93,7 @@ void Usage(const char* argv0) {
       "options:\n"
       "  --shards H:P,...      shared shard map: decompose routes to the\n"
       "                        shard owning the instance's fingerprint;\n"
-      "                        stats/metrics/trace/snapshot fan out to\n"
+      "                        metrics/trace/snapshot/sync fan out to\n"
       "                        every shard\n"
       "  --quiet               suppress the response body on success\n"
       "  --verbose             print X-HTD-Request-Id and the Server-Timing\n"
@@ -218,9 +216,8 @@ bool ParseArgs(int argc, char** argv, Args& args) {
   if (args.command == "decompose") return !args.file.empty() && args.k >= 1;
   if (args.command == "query") return !args.file.empty();
   if (args.command == "job") return !args.job_id.empty();
-  return args.command == "stats" || args.command == "snapshot" ||
-         args.command == "metrics" || args.command == "trace" ||
-         args.command == "sync";
+  return args.command == "snapshot" || args.command == "metrics" ||
+         args.command == "trace" || args.command == "sync";
 }
 
 /// One HTTP exchange (Connection: close) over the shared client
@@ -288,9 +285,9 @@ int ExitCodeFor(int status) {
   return status == 429 || status == 503 ? 4 : 3;
 }
 
-/// stats/snapshot against a shard map: one exchange per PROCESS (every
-/// replica of every range), each body printed under its endpoint. Fails
-/// with the worst per-endpoint exit code.
+/// metrics/trace/snapshot/sync against a shard map: one exchange per
+/// PROCESS (every replica of every range), each body printed under its
+/// endpoint. Fails with the worst per-endpoint exit code.
 int FanOut(const Args& args, const std::string& method,
            const std::string& target) {
   const htd::service::ShardMap& map = *args.shards;
@@ -372,8 +369,6 @@ int main(int argc, char** argv) {
     body = std::move(text);
   } else if (args.command == "job") {
     target = "/v1/jobs/" + args.job_id;
-  } else if (args.command == "stats") {
-    target = "/v1/stats";
   } else if (args.command == "metrics") {
     target = "/v1/metrics";
   } else if (args.command == "trace") {
@@ -393,9 +388,8 @@ int main(int argc, char** argv) {
   /// failure (client-side analogue of the router's replica failover).
   std::vector<std::pair<std::string, int>> replica_fallbacks;
   if (args.shards.has_value()) {
-    if (args.command == "stats" || args.command == "snapshot" ||
-        args.command == "metrics" || args.command == "trace" ||
-        args.command == "sync") {
+    if (args.command == "snapshot" || args.command == "metrics" ||
+        args.command == "trace" || args.command == "sync") {
       return FanOut(args, method, target);
     }
     if (args.command == "job") {

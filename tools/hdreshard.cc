@@ -23,9 +23,9 @@
 //   5. finalise  POST /v1/admin/migrate?finalise=1 on every old backend
 //                that stays in the fleet; backends that left the map are
 //                reported for shutdown instead.
-//   6. verify    GET /v1/stats on every new endpoint: prints imported /
-//                migrated-out counters so the operator can see the warm
-//                state actually moved.
+//   6. verify    GET /v1/metrics on every new endpoint: prints its
+//                htd_migration_entries_total imports so the operator can
+//                see the warm state actually moved.
 //
 // Backends keep serving throughout — donors retain their entries until the
 // flip, so warm hits survive the whole transition. Exits non-zero on the
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "net/http_client.h"
-#include "net/json.h"
 #include "service/shard_map.h"
 #include "util/cli.h"
 
@@ -91,12 +90,13 @@ bool Step(const Args& args, const std::string& what, const std::string& host,
   return true;
 }
 
-/// Pulls `"key": <integer>` out of a fleet-rendered JSON body via the
-/// shared scanner (net/json.h); -1 when absent.
-long long JsonNumber(const std::string& body, const std::string& key) {
-  double value;
-  if (!htd::net::FindJsonNumber(body, key, &value)) return -1;
-  return static_cast<long long>(value);
+/// The integer after `prefix` in a body the fleet rendered — a JSON field
+/// (`"entries_out": `) or a /v1/metrics sample line (`\nname{labels} `),
+/// both in one exact form, so a string search suffices; -1 when absent.
+long long NumberAfter(const std::string& body, const std::string& prefix) {
+  size_t pos = body.find(prefix);
+  if (pos == std::string::npos) return -1;
+  return std::strtoll(body.c_str() + pos + prefix.size(), nullptr, 10);
 }
 
 }  // namespace
@@ -117,19 +117,15 @@ int main(int argc, char** argv) {
     } else if (flag == "--to") {
       args.to_spec = next("--to");
     } else if (flag == "--router") {
-      std::string endpoint = next("--router");
-      size_t colon = endpoint.rfind(':');
-      long port;
-      if (colon == std::string::npos || colon == 0 ||
-          !htd::util::ParseIntFlag(endpoint.substr(colon + 1), 1, 65535,
-                                   &port)) {
-        std::fprintf(stderr, "invalid value for --router: \"%s\" (expected "
-                             "host:port)\n\n", endpoint.c_str());
+      auto endpoint = htd::service::ShardEndpoint::Parse(next("--router"));
+      if (!endpoint.ok()) {
+        std::fprintf(stderr, "invalid value for --router: %s\n\n",
+                     endpoint.status().message().c_str());
         Usage(argv[0]);
         return 2;
       }
-      args.router_host = endpoint.substr(0, colon);
-      args.router_port = static_cast<int>(port);
+      args.router_host = endpoint->host;
+      args.router_port = endpoint->port;
       args.have_router = true;
     } else if (flag == "--timeout") {
       if (!htd::util::ParseDoubleFlag(next("--timeout"), 0.0, &args.timeout)) {
@@ -259,7 +255,7 @@ int main(int argc, char** argv) {
                            "the router with /v1/admin/transition?abort=1\n");
       return 1;
     }
-    long long out = JsonNumber(response, "entries_out");
+    long long out = NumberAfter(response, "\"entries_out\": ");
     if (out > 0) total_out += out;
   }
 
@@ -292,16 +288,20 @@ int main(int argc, char** argv) {
       const htd::service::ShardEndpoint& endpoint = to->replica(index, r);
       htd::net::FetchOptions fetch;
       fetch.read_timeout_seconds = args.timeout;
-      htd::net::FetchResult stats = htd::net::HttpFetch(
-          endpoint.host, endpoint.port, "GET", "/v1/stats", "", {}, fetch);
-      if (!stats.ok() || stats.status != 200) {
+      htd::net::FetchResult metrics = htd::net::HttpFetch(
+          endpoint.host, endpoint.port, "GET", "/v1/metrics", "", {}, fetch);
+      if (!metrics.ok() || metrics.status != 200) {
         std::fprintf(stderr, "hdreshard: verify %s:%d: unreachable\n",
                      endpoint.host.c_str(), endpoint.port);
         verified = false;
         continue;
       }
-      const long long cache_in = JsonNumber(stats.body, "imported_cache_entries");
-      const long long store_in = JsonNumber(stats.body, "imported_store_entries");
+      const long long cache_in = NumberAfter(
+          metrics.body,
+          "\nhtd_migration_entries_total{direction=\"imported_cache\"} ");
+      const long long store_in = NumberAfter(
+          metrics.body,
+          "\nhtd_migration_entries_total{direction=\"imported_store\"} ");
       std::printf("hdreshard: verify range %d (%s:%d): imported %lld cache + "
                   "%lld store entries\n",
                   index, endpoint.host.c_str(), endpoint.port,

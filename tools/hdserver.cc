@@ -3,12 +3,14 @@
 //   $ hdserver --port 8080 --solver logk --workers 8 --threads 0 \
 //              --queue-depth 64 --snapshot /var/lib/htd/warm.snap --store
 //
-// Serves POST /v1/decompose, GET /v1/jobs/<id>, GET /v1/stats,
+// Serves POST /v1/decompose, POST /v1/query, GET /v1/jobs/<id>,
 // GET /v1/metrics (Prometheus text), GET /v1/trace (recent request traces),
-// and POST /v1/admin/snapshot over HTTP/1.1. With --snapshot the server restores
-// the result cache and subproblem store at startup (warm start) and saves
-// them on clean shutdown (SIGINT/SIGTERM) unless --no-save-on-exit;
-// --snapshot-interval additionally saves periodically in the background.
+// GET /healthz, and the /v1/admin/* routes (snapshot, export, import,
+// migrate, digest, antientropy) over HTTP/1.1; docs/SERVER.md has the
+// list. With --snapshot the server restores the result cache and
+// subproblem store at startup (warm start) and saves them on clean
+// shutdown (SIGINT/SIGTERM) unless --no-save-on-exit; --snapshot-interval
+// additionally saves periodically in the background.
 //
 // Sharded deployments (docs/SERVER.md "Sharding the warm state"):
 //
@@ -16,10 +18,10 @@
 //   $ hdserver --shard-map 10.0.0.1:8080,10.0.0.2:8080 \
 //              --shard-index 0 --snapshot shard0.snap          # backend
 //
-// Proxy mode forwards each /v1/decompose to the shard owning the instance's
-// canonical fingerprint (net/shard_router.h), aggregates GET /v1/metrics
-// across the fleet, and serves nothing else locally;
-// backend mode restricts snapshots to this shard's fingerprint range and
+// Proxy mode forwards each /v1/decompose and /v1/query to the shard owning
+// the body's canonical fingerprint (net/shard_router.h), fans GET
+// /v1/metrics and POST /v1/admin/snapshot out across the fleet, and holds
+// no warm state of its own; backend mode restricts snapshots to this shard's fingerprint range and
 // refuses requests routed by a mismatched map digest with 421. A map item
 // "host:port*2" declares a replicated range (that endpoint plus the next
 // one serve the same range; the router round-robins over them). Topologies

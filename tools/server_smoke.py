@@ -5,16 +5,18 @@ Phases (see ISSUE/acceptance criteria and docs/SERVER.md):
   1. cold server on a small corpus: every request answers 200, repeats hit
      the result cache, /v1/admin/snapshot persists the warm state;
   2. restart from the snapshot: the replayed corpus reports cache hits and
-     /v1/stats shows the restored entry count;
+     /v1/metrics shows the restored entry count;
   3. overload: a single-worker server with a tiny admission bound floods
      past the queue bound and sheds with 429 instead of queueing or hanging;
   4. sharding: two shard servers behind a --route-to proxy — deterministic
      fingerprint-range routing (resubmits hit the same shard's cache),
-     aggregated stats summing across shards, per-shard snapshots, and a
-     warm restart of ONE shard that serves its instances as cache hits
-     while the other shard is untouched; then observability: /v1/metrics
-     on the router and both shards parses as Prometheus text with
-     populated stage histograms, and a proxied sync decompose carries an
+     the router's /v1/metrics summing across shards, per-shard snapshots,
+     and a warm restart of ONE shard that serves its instances as cache
+     hits while the other shard is untouched; then observability:
+     /v1/metrics on the router and both shards parses as Prometheus text
+     with populated stage histograms, every family on the router's page
+     has a row in docs/OPERATIONS.md's field table and every name there is
+     still exported, and a proxied sync decompose carries an
      X-HTD-Request-Id whose root span is retrievable from the owning
      shard's /v1/trace plus a Server-Timing stage breakdown;
   5. live resharding: a 2→3 reshard (the third range replicated across two
@@ -39,6 +41,7 @@ Usage: tools/server_smoke.py [BUILD_DIR]   (default: ./build)
 Exits non-zero with a FAIL line on the first broken property.
 """
 
+import fnmatch
 import json
 import re
 import signal
@@ -55,11 +58,16 @@ BUILD = Path(sys.argv[1] if len(sys.argv) > 1 else "build").resolve()
 HDSERVER = BUILD / "hdserver"
 HDCLIENT = BUILD / "hdclient"
 HDRESHARD = BUILD / "hdreshard"
+OPERATIONS_MD = Path(__file__).resolve().parent.parent / "docs" / "OPERATIONS.md"
 CLIENT_TIMEOUT = 60  # seconds per hdclient invocation; a hang is a failure
+SERVERS = []  # every hdserver this run started; fail() stops the live ones
 
 
 def fail(message):
     print(f"FAIL: {message}", file=sys.stderr)
+    for proc in SERVERS:
+        if proc.poll() is None:
+            proc.kill()
     sys.exit(1)
 
 
@@ -87,13 +95,14 @@ def start_server(port, *extra):
     proc = subprocess.Popen(
         [str(HDSERVER), "--port", str(port), *extra],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    SERVERS.append(proc)
     deadline = time.time() + 20
     while time.time() < deadline:
         if proc.poll() is not None:
             fail(f"hdserver exited early:\n{proc.stdout.read()}")
         try:
             probe = subprocess.run(
-                [str(HDCLIENT), "--port", str(port), "stats"],
+                [str(HDCLIENT), "--port", str(port), "metrics", "--quiet"],
                 capture_output=True, timeout=5)
             if probe.returncode == 0:
                 return proc
@@ -174,6 +183,48 @@ def parse_prometheus(text, source):
     return series
 
 
+def metrics(port, source):
+    """One /v1/metrics scrape, parsed; fails unless it answers 200."""
+    status, _, text = scrape(port, "/v1/metrics")
+    if status != 200:
+        fail(f"{source}: /v1/metrics answered {status}")
+    return parse_prometheus(text, source)
+
+
+def documented_metric_names():
+    """The names in OPERATIONS.md's /v1/metrics field table; a row such as
+    `htd_cache_*` keeps its glob, and `name{labels}` is cut to the name."""
+    text = OPERATIONS_MD.read_text()
+    table = text.split("### Reading `/v1/metrics`", 1)[1].split("\n#", 1)[0]
+    names = set()
+    for line in table.splitlines():
+        if line.startswith("| `htd_"):
+            for token in re.findall(r"`([^`]+)`", line.split("|")[1]):
+                names.add(token.split("{", 1)[0])
+    if not names:
+        fail(f"no metric field table found in {OPERATIONS_MD}")
+    return names
+
+
+def check_metrics_doc(page, source):
+    """Every family on `page` has a row in the field table, and every name
+    in the table is still exported."""
+    families = {line.split()[2] for line in page.splitlines()
+                if line.startswith("# TYPE ")}
+    names = documented_metric_names()
+    undocumented = sorted(f for f in families
+                          if not any(fnmatch.fnmatchcase(f, n) for n in names))
+    if undocumented:
+        fail(f"{source}: families missing from {OPERATIONS_MD.name}'s field "
+             f"table: {undocumented}")
+    unexported = sorted(n for n in names
+                        if not any(fnmatch.fnmatchcase(f, n) for f in families))
+    if unexported:
+        fail(f"{source}: {OPERATIONS_MD.name} documents names no longer "
+             f"exported: {unexported}")
+    return len(families)
+
+
 def observability_checks(workdir, port_r, port_a, port_b, shard0_instance):
     """Metrics scrapes + end-to-end request-id propagation (phase 4b)."""
     # Cache hits skip the schedule/solve stages by design, and shard 0 has
@@ -191,6 +242,9 @@ def observability_checks(workdir, port_r, port_a, port_b, shard0_instance):
             break
     else:
         fail("could not land a fresh solve on both shards in 40 tries")
+    # The query families are registered by the first query.
+    write_query_request(workdir / "obs_query.qr", 3)
+    client(port_r, "query", str(workdir / "obs_query.qr"), "--quiet")
 
     # Every endpoint renders parseable Prometheus text with the stage
     # histograms populated by the traffic the phase already ran.
@@ -207,7 +261,8 @@ def observability_checks(workdir, port_r, port_a, port_b, shard0_instance):
             key = f'htd_stage_seconds_count{{stage="{stage}"}}'
             if series.get(key, 0) <= 0:
                 fail(f"{source}: stage histogram {key} is empty")
-    # The router's page is the fleet aggregate plus its own series.
+    # The router's page is the fleet aggregate plus its own series, and
+    # the operator docs describe exactly what it exports.
     status, _, text = scrape(port_r, "/v1/metrics")
     series = parse_prometheus(text, "router")
     if series.get("htd_fleet_endpoints_scraped", 0) != 2:
@@ -215,6 +270,7 @@ def observability_checks(workdir, port_r, port_a, port_b, shard0_instance):
              f"of 2 endpoints")
     if not any(k.startswith("htd_router_request_seconds") for k in series):
         fail("router page is missing its own htd_router_request_seconds")
+    documented = check_metrics_doc(text, "router")
 
     # A proxied sync decompose returns the request id the router minted;
     # the same id must be a root span on the owning shard (shard 0), and
@@ -240,7 +296,8 @@ def observability_checks(workdir, port_r, port_a, port_b, shard0_instance):
         fail(f"request id {request_id} not among shard 0 root spans "
              f"{root_ids[:8]}")
     print(f"phase 4b OK: metrics parse on router + 2 shards with populated "
-          f"stage histograms; request id {request_id} propagated "
+          f"stage histograms, all {documented} router families match the "
+          f"OPERATIONS.md field table; request id {request_id} propagated "
           f"router -> shard 0 trace with full Server-Timing")
 
 
@@ -250,10 +307,11 @@ def shard_phase(workdir):
     shard_map = f"127.0.0.1:{port_a},127.0.0.1:{port_b}"
     snap = {0: workdir / "shard0.snap", 1: workdir / "shard1.snap"}
 
+    # --store: the docs check in phase 4b needs the store's families too.
     def start_shard(index, port):
         return start_server(port, "--shard-map", shard_map, "--shard-index",
                             str(index), "--snapshot", str(snap[index]),
-                            "--workers", "2")
+                            "--workers", "2", "--store")
 
     shards = {0: start_shard(0, port_a), 1: start_shard(1, port_b)}
     router = start_server(port_r, "--route-to", shard_map)
@@ -285,27 +343,27 @@ def shard_phase(workdir):
         client(port_r, "decompose", str(workdir / name), "--k", "2",
                "--expect-cache-hit", "--quiet")
 
-    # Per-shard stats confirm the split, aggregated stats sum across shards.
-    stats = {i: json.loads(client(p, "stats").stdout)
-             for i, p in ((0, port_a), (1, port_b))}
+    # Per-shard metrics confirm the split; the router's page sums them.
+    admitted = 'htd_admission_requests_total{result="admitted"}'
+    stats = {i: metrics(p, f"shard {i}") for i, p in ((0, port_a), (1, port_b))}
     for index in (0, 1):
-        hits = stats[index]["scheduler"]["cache_hits"]
+        hits = stats[index]["htd_scheduler_cache_hits_total"]
         if hits < len(by_shard[index]):
             fail(f"shard {index}: expected >= {len(by_shard[index])} cache "
                  f"hits, got {hits} (routing not deterministic?)")
-        if not stats[index]["shard"]["enabled"]:
-            fail(f"shard {index}: /v1/stats does not report sharding")
-    router_stats = json.loads(client(port_r, "stats").stdout)
-    agg = router_stats["aggregate"]
-    want_hits = stats[0]["scheduler"]["cache_hits"] + \
-        stats[1]["scheduler"]["cache_hits"]
-    if agg["scheduler_cache_hits"] != want_hits:
-        fail(f"aggregated cache_hits {agg['scheduler_cache_hits']} != "
-             f"sum of shards {want_hits}")
-    want_admitted = stats[0]["admission"]["admitted"] + \
-        stats[1]["admission"]["admitted"]
-    if agg["admission_admitted"] != want_admitted:
-        fail(f"aggregated admitted {agg['admission_admitted']} != "
+        if stats[index]["htd_shard_index"] != index:
+            fail(f"shard {index}: /v1/metrics reports htd_shard_index "
+                 f"{stats[index]['htd_shard_index']}")
+    router_stats = metrics(port_r, "router")
+    want_hits = stats[0]["htd_scheduler_cache_hits_total"] + \
+        stats[1]["htd_scheduler_cache_hits_total"]
+    if router_stats["htd_scheduler_cache_hits_total"] != want_hits:
+        fail(f"aggregated cache hits "
+             f"{router_stats['htd_scheduler_cache_hits_total']} != sum of "
+             f"shards {want_hits}")
+    want_admitted = stats[0][admitted] + stats[1][admitted]
+    if router_stats[admitted] != want_admitted:
+        fail(f"aggregated admitted {router_stats[admitted]} != "
              f"{want_admitted}")
 
     # Snapshot through the router: every shard persists its own range.
@@ -316,19 +374,19 @@ def shard_phase(workdir):
 
     # Restart ONLY shard 0 from its snapshot: its instances replay as cache
     # hits, and shard 1 must not see any of this.
-    before_b = json.loads(client(port_b, "stats").stdout)
+    restored = 'htd_restored_entries{kind="cache"}'
+    before_b = metrics(port_b, "shard 1")
     stop_server(shards[0])
     shards[0] = start_shard(0, port_a)
-    restarted = json.loads(client(port_a, "stats").stdout)
-    if restarted["snapshot"]["restored_cache_entries"] < len(by_shard[0]):
-        fail(f"shard 0 restored "
-             f"{restarted['snapshot']['restored_cache_entries']} entries, "
-             f"expected >= {len(by_shard[0])}")
+    restarted = metrics(port_a, "restarted shard 0")
+    if restarted[restored] < len(by_shard[0]):
+        fail(f"shard 0 restored {restarted[restored]} entries, expected >= "
+             f"{len(by_shard[0])}")
     for name in by_shard[0]:
         client(port_r, "decompose", str(workdir / name), "--k", "2",
                "--expect-cache-hit", "--quiet")
-    after_b = json.loads(client(port_b, "stats").stdout)
-    if after_b["admission"]["admitted"] != before_b["admission"]["admitted"]:
+    after_b = metrics(port_b, "shard 1")
+    if after_b[admitted] != before_b[admitted]:
         fail("shard 1 saw traffic during shard 0's warm restart")
 
     # Observability rides on the warm fleet: stage histograms are already
@@ -340,8 +398,8 @@ def shard_phase(workdir):
     for proc in shards.values():
         stop_server(proc)
     print(f"phase 4 OK: routed {len(corpus)} instances across 2 shards "
-          f"({len(by_shard[0])}/{len(by_shard[1])} split), aggregate stats "
-          f"consistent, per-shard warm restart served "
+          f"({len(by_shard[0])}/{len(by_shard[1])} split), aggregated "
+          f"metrics consistent, per-shard warm restart served "
           f"{len(by_shard[0])} cache hits")
 
 
@@ -741,7 +799,7 @@ def keepalive_scale_phase(workdir, snapshot):
                     fail(f"phase 8 {label}: held connection answered "
                          f"{blob[:80]!r}")
             # And new work is still admitted alongside the held mass.
-            client(port, "stats", "--quiet")
+            client(port, "metrics", "--quiet")
         finally:
             for conn in conns:
                 conn.close()
@@ -759,8 +817,7 @@ def keepalive_scale_phase(workdir, snapshot):
     port = free_port()
     server = start_server(port, *args)
     hold_and_check(port, "warm")
-    stats = json.loads(client(port, "stats").stdout)
-    if stats["snapshot"]["restored_cache_entries"] < 1:
+    if metrics(port, "phase 8 warm")['htd_restored_entries{kind="cache"}'] < 1:
         fail("phase 8: warm restart restored no cache entries")
     stop_server(server)
     print(f"phase 8 OK: {target} idle keep-alives held through a warm "
@@ -801,8 +858,7 @@ def main():
     for name in corpus:
         client(port, "decompose", str(workdir / name), "--k", "3",
                "--expect-cache-hit", "--quiet")
-    stats = json.loads(client(port, "stats").stdout)
-    restored = stats["snapshot"]["restored_cache_entries"]
+    restored = metrics(port, "warm server")['htd_restored_entries{kind="cache"}']
     if restored < len(corpus):
         fail(f"expected >= {len(corpus)} restored cache entries, got {restored}")
     # Idle fleet: every cache hit has resolved, so no executor worker should
@@ -819,7 +875,7 @@ def main():
              f"executor workers, want 2 (--workers 2)")
     stop_server(server)
     print(f"phase 2 OK: warm restart served {len(corpus)} cache hits "
-          f"({restored} entries restored), executor idle after drain")
+          f"({int(restored)} entries restored), executor idle after drain")
 
     # --- Phase 3: flood past the admission bound. --------------------------
     port = free_port()
@@ -840,9 +896,10 @@ def main():
         fail("flood: no request was admitted")
     if shed == 0:
         fail("flood: queue bound never shed load (server queues unboundedly?)")
-    stats = json.loads(client(port, "stats").stdout)
-    if stats["admission"]["shed"] != shed:
-        fail(f"stats disagree: {stats['admission']['shed']} != {shed}")
+    counted = metrics(port, "flooded server")[
+        'htd_admission_requests_total{result="shed"}']
+    if counted != shed:
+        fail(f"metrics disagree: {counted} shed != {shed}")
     # Saturated fleet: the pinned clique24 solves are still running, so the
     # whole executor (1 worker) must be busy — no idle capacity while work
     # is queued.
