@@ -166,13 +166,20 @@ class EventLoop {
     wheel_time_ = Clock::now();
     std::vector<epoll_event> events(128);
     while (true) {
-      auto now = Clock::now();
-      auto until_tick = std::chrono::duration_cast<std::chrono::milliseconds>(
-          wheel_time_ + kTick - now);
-      int timeout_ms = static_cast<int>(
-          std::min<long long>(100, std::max<long long>(0, until_tick.count())));
+      // Without a connection no timer is live, so sleep until Wake(): fd
+      // hand-off, completions and drain all call it. The wheel is re-based
+      // on waking, so it does not replay the ticks slept through.
+      const bool idle = conns_.empty();
+      int timeout_ms = -1;
+      if (!idle) {
+        auto until_tick = std::chrono::duration_cast<std::chrono::milliseconds>(
+            wheel_time_ + kTick - Clock::now());
+        timeout_ms = static_cast<int>(std::min<long long>(
+            100, std::max<long long>(0, until_tick.count())));
+      }
       int n = ::epoll_wait(epoll_fd_, events.data(),
                            static_cast<int>(events.size()), timeout_ms);
+      if (idle) wheel_time_ = Clock::now();
       for (int i = 0; i < n; ++i) {
         if (events[i].data.fd == wake_fd_) {
           uint64_t drained;

@@ -56,6 +56,11 @@ QueryEngine::QueryEngine(service::DecompositionService* service,
   metrics.SetHelp("htd_query_portfolio_picks_total",
                   "Portfolio selections: first-found tree vs a better-scoring "
                   "alternative.");
+  // Every stage is on the page before the first query, at count 0.
+  for (const char* stage : {"decompose", "pick", "execute"}) {
+    metrics.GetHistogram("htd_query_seconds",
+                         std::string("stage=\"") + stage + "\"");
+  }
 }
 
 util::StatusOr<QueryAnswer> QueryEngine::Answer(const cq::Query& query,

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <utility>
 
 #include "util/hash.h"
-#include "util/logging.h"
 
 namespace htd::service {
 
@@ -14,117 +12,230 @@ namespace {
 
 using util::HashCombine;
 
-/// Replaces arbitrary 64-bit colour hashes by dense ranks in [0, #distinct).
-/// Ranking by sorted hash value keeps the mapping independent of vertex and
-/// edge numbering, which is what makes each refinement round invariant.
-int Compress(std::vector<uint64_t>& colors) {
-  std::vector<uint64_t> sorted(colors);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  for (auto& c : colors) {
-    c = static_cast<uint64_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), c) - sorted.begin());
-  }
-  return static_cast<int>(sorted.size());
-}
+/// The bipartite incidence graph as one adjacency array. Nodes [0, n) are
+/// the vertices and [n, n + m) the edges; node x's neighbours are
+/// adj[offset[x], offset[x + 1]).
+struct Incidence {
+  int n = 0;
+  int m = 0;
+  std::vector<int> offset;
+  std::vector<int> adj;
 
-struct Refinement {
-  std::vector<uint64_t> vcolor;  // dense vertex colours
-  std::vector<uint64_t> ecolor;  // dense edge colours
-  int num_vertex_classes = 0;
-  int num_edge_classes = 0;
+  int degree(int x) const { return offset[x + 1] - offset[x]; }
 };
 
-/// One-sided update: recolour `out` from its own colour plus the sorted
-/// multiset of neighbour colours (edge ➞ member vertices, vertex ➞ incident
-/// edges).
-template <typename NeighborsFn>
-void RecolorSide(std::vector<uint64_t>& out, const std::vector<uint64_t>& other,
-                 NeighborsFn&& neighbors, uint64_t side_seed) {
-  std::vector<uint64_t> next(out.size());
-  std::vector<uint64_t> adj;
-  for (size_t i = 0; i < out.size(); ++i) {
-    adj.clear();
-    neighbors(static_cast<int>(i), adj, other);
-    std::sort(adj.begin(), adj.end());
-    uint64_t h = HashCombine(side_seed, out[i]);
-    for (uint64_t c : adj) h = HashCombine(h, c);
-    h = HashCombine(h, adj.size());
-    next[i] = h;
+/// Builds the incidence graph of `n` vertices and the edges whose members
+/// are given back to back: edge e is members[edge_offset[e], edge_offset[e + 1]).
+Incidence BuildIncidence(int n, const std::vector<int>& edge_offset,
+                         const std::vector<int>& members) {
+  Incidence g;
+  g.n = n;
+  g.m = static_cast<int>(edge_offset.size()) - 1;
+  const int total = static_cast<int>(members.size());
+  g.offset.assign(n + g.m + 1, 0);
+  for (int v : members) ++g.offset[v + 1];
+  for (int v = 0; v < n; ++v) g.offset[v + 1] += g.offset[v];
+  for (int e = 0; e <= g.m; ++e) g.offset[n + e] = total + edge_offset[e];
+  g.adj.resize(2 * static_cast<size_t>(total));
+  std::vector<int> fill(g.offset.begin(), g.offset.begin() + n);
+  for (int e = 0; e < g.m; ++e) {
+    for (int i = edge_offset[e]; i < edge_offset[e + 1]; ++i) {
+      g.adj[fill[members[i]]++] = n + e;
+      g.adj[total + i] = members[i];
+    }
   }
-  out = std::move(next);
+  return g;
 }
 
-/// Runs colour refinement to a fixed point. Colours are invariant under any
-/// renaming of vertices or reordering of edges.
-Refinement Refine(const Hypergraph& graph, std::vector<uint64_t> vcolor,
-                  std::vector<uint64_t> ecolor) {
-  const int n = graph.num_vertices();
-  const int m = graph.num_edges();
-  Refinement r;
-  r.vcolor = std::move(vcolor);
-  r.ecolor = std::move(ecolor);
-  r.num_vertex_classes = Compress(r.vcolor);
-  r.num_edge_classes = Compress(r.ecolor);
-
-  auto edge_members = [&graph](int e, std::vector<uint64_t>& adj,
-                               const std::vector<uint64_t>& vc) {
-    for (int v : graph.edge_vertex_list(e)) adj.push_back(vc[v]);
-  };
-  auto vertex_edges = [&graph](int v, std::vector<uint64_t>& adj,
-                               const std::vector<uint64_t>& ec) {
-    for (int e : graph.edges_of_vertex(v)) adj.push_back(ec[e]);
-  };
-
-  // Each productive round strictly grows a class count; n + m bounds rounds.
-  for (int round = 0; round < n + m + 1; ++round) {
-    RecolorSide(r.ecolor, r.vcolor, edge_members, /*side_seed=*/0xe5);
-    int edge_classes = Compress(r.ecolor);
-    RecolorSide(r.vcolor, r.ecolor, vertex_edges, /*side_seed=*/0x5e);
-    int vertex_classes = Compress(r.vcolor);
-    if (edge_classes == r.num_edge_classes &&
-        vertex_classes == r.num_vertex_classes) {
-      break;
+/// Worklist colour refinement on an ordered partition of the incidence
+/// graph's nodes (Berkholz, Bonsma and Grohe, ESA 2013), with the
+/// individualise-then-refine-from-the-singleton step of nauty and Traces
+/// (McKay and Piperno, 2014).
+///
+/// A cell is a position range [start, cell_end_[start]) of `elems_` and is
+/// named by its start. Vertices occupy positions [0, n) and edges [n, n + m),
+/// so no cell spans both sides. Popping a splitter cell W counts, for every
+/// node, its neighbours in W; each touched cell (in position order) is split
+/// into its untouched members, then its touched members by ascending count.
+/// The fragments keep the cell's range, the first keeps its name, and only
+/// touched members move. Every decision reads positions and counts, never
+/// node ids, so isomorphic inputs refine identically; the one exception is
+/// the individualisation tie-break (see the header caveat).
+class Refiner {
+ public:
+  /// Orders each side by `seed` (indexed by node) and queues every run of
+  /// equal seeds as one cell.
+  Refiner(const Incidence& graph, const std::vector<uint64_t>& seed)
+      : g_(graph) {
+    const int n = g_.n;
+    const int total = g_.n + g_.m;
+    elems_.resize(total);
+    for (int x = 0; x < total; ++x) elems_[x] = x;
+    auto by_seed = [&seed](int a, int b) { return seed[a] < seed[b]; };
+    std::sort(elems_.begin(), elems_.begin() + n, by_seed);
+    std::sort(elems_.begin() + n, elems_.end(), by_seed);
+    pos_.resize(total);
+    cell_.resize(total);
+    cell_end_.resize(total);
+    touched_in_cell_.assign(total, 0);
+    count_.assign(total, 0);
+    queued_.assign(total, 0);
+    for (int start = 0; start < total;) {
+      const int side_end = start < n ? n : total;
+      int end = start + 1;
+      while (end < side_end && seed[elems_[end]] == seed[elems_[start]]) ++end;
+      for (int p = start; p < end; ++p) {
+        pos_[elems_[p]] = p;
+        cell_[elems_[p]] = start;
+      }
+      cell_end_[start] = end;
+      Enqueue(start);
+      start = end;
     }
-    r.num_edge_classes = edge_classes;
-    r.num_vertex_classes = vertex_classes;
   }
-  return r;
-}
 
-/// Refines from the given seed colours, then individualises until the vertex
-/// partition is discrete. The returned vector is the canonical vertex id of
-/// each vertex. The member choice inside a tied class (lowest original id)
-/// only matters for classes whose members are not automorphic; see the
-/// header caveat.
-std::vector<int> DiscreteVertexIds(const Hypergraph& graph,
-                                   std::vector<uint64_t> vseed,
-                                   std::vector<uint64_t> eseed) {
-  const int n = graph.num_vertices();
-  Refinement r = Refine(graph, std::move(vseed), std::move(eseed));
-  while (r.num_vertex_classes < n) {
-    std::vector<int> class_size(r.num_vertex_classes, 0);
-    for (int v = 0; v < n; ++v) class_size[r.vcolor[v]]++;
-    int target_class = -1;
-    for (int c = 0; c < r.num_vertex_classes; ++c) {
-      if (class_size[c] > 1) {
-        target_class = c;
-        break;
+  /// Splits until no queued cell splits another: the coarsest equitable
+  /// refinement of the current partition.
+  void Refine() {
+    for (size_t head = 0; head < queue_.size(); ++head) {
+      const int splitter = queue_[head];
+      queued_[splitter] = 0;
+      SplitBy(splitter);
+    }
+    queue_.clear();
+  }
+
+  /// Moves the lowest vertex id of the first non-singleton vertex cell into
+  /// a new singleton cell at the cell's end and queues only that cell.
+  /// Returns false once every vertex cell is a singleton.
+  bool Individualise() {
+    while (first_open_ < g_.n && cell_end_[first_open_] == first_open_ + 1) {
+      ++first_open_;
+    }
+    if (first_open_ == g_.n) return false;
+    const int start = first_open_;
+    const int end = cell_end_[start];
+    int lowest = start;
+    for (int p = start + 1; p < end; ++p) {
+      if (elems_[p] < elems_[lowest]) lowest = p;
+    }
+    const int v = elems_[lowest];
+    Place(elems_[end - 1], lowest);
+    Place(v, end - 1);
+    cell_end_[start] = end - 1;
+    cell_end_[end - 1] = end;
+    cell_[v] = end - 1;
+    Enqueue(end - 1);
+    return true;
+  }
+
+  /// Position of vertex v; a canonical id once the vertex side is discrete.
+  int position(int v) const { return pos_[v]; }
+
+ private:
+  void Place(int x, int p) {
+    elems_[p] = x;
+    pos_[x] = p;
+  }
+
+  void Enqueue(int cell) {
+    if (queued_[cell]) return;
+    queued_[cell] = 1;
+    queue_.push_back(cell);
+  }
+
+  void SplitBy(int splitter) {
+    touched_.clear();
+    touched_cells_.clear();
+    for (int p = splitter; p < cell_end_[splitter]; ++p) {
+      const int x = elems_[p];
+      for (int i = g_.offset[x]; i < g_.offset[x + 1]; ++i) {
+        const int y = g_.adj[i];
+        if (count_[y]++ > 0) continue;
+        // First touch: move y to the back of its cell, behind the members
+        // touched before it. The splitter is on the other side, so this
+        // never disturbs the loop over it.
+        touched_.push_back(y);
+        const int cell = cell_[y];
+        if (touched_in_cell_[cell]++ == 0) touched_cells_.push_back(cell);
+        const int back = cell_end_[cell] - touched_in_cell_[cell];
+        const int from = pos_[y];
+        Place(elems_[back], from);
+        Place(y, back);
       }
     }
-    HTD_CHECK(target_class >= 0);
-    int chosen = -1;
-    for (int v = 0; v < n; ++v) {
-      if (static_cast<int>(r.vcolor[v]) == target_class) {
-        chosen = v;
-        break;
+    std::sort(touched_cells_.begin(), touched_cells_.end());
+    for (int cell : touched_cells_) SplitCell(cell);
+    for (int y : touched_) count_[y] = 0;
+  }
+
+  void SplitCell(int start) {
+    const int end = cell_end_[start];
+    const int first_touched = end - touched_in_cell_[start];
+    touched_in_cell_[start] = 0;
+    std::sort(elems_.begin() + first_touched, elems_.begin() + end,
+              [this](int a, int b) { return count_[a] < count_[b]; });
+    fragments_.clear();
+    if (first_touched > start) fragments_.push_back(start);
+    for (int p = first_touched; p < end; ++p) {
+      pos_[elems_[p]] = p;
+      if (p == first_touched || count_[elems_[p]] != count_[elems_[p - 1]]) {
+        fragments_.push_back(p);
       }
     }
-    r.vcolor[chosen] = static_cast<uint64_t>(r.num_vertex_classes);
-    r = Refine(graph, std::move(r.vcolor), std::move(r.ecolor));
+    if (fragments_.size() == 1) return;
+    fragments_.push_back(end);
+
+    int largest = start;
+    int largest_size = 0;
+    for (size_t i = 0; i + 1 < fragments_.size(); ++i) {
+      const int f = fragments_[i];
+      const int f_end = fragments_[i + 1];
+      cell_end_[f] = f_end;
+      if (f != start) {
+        for (int p = f; p < f_end; ++p) cell_[elems_[p]] = f;
+      }
+      if (f_end - f > largest_size) {
+        largest = f;
+        largest_size = f_end - f;
+      }
+    }
+    // A queued cell still splits by its whole content, so every new fragment
+    // must split too. A cell already used as a splitter has split its
+    // neighbours by its union, so the counts into its largest fragment
+    // follow from the others (Hopcroft's trick).
+    const bool was_queued = queued_[start] != 0;
+    for (size_t i = 0; i + 1 < fragments_.size(); ++i) {
+      const int f = fragments_[i];
+      if (was_queued ? f != start : f != largest) Enqueue(f);
+    }
   }
-  std::vector<int> ids(n);
-  for (int v = 0; v < n; ++v) ids[v] = static_cast<int>(r.vcolor[v]);
+
+  const Incidence& g_;
+  std::vector<int> elems_;     // position -> node
+  std::vector<int> pos_;       // node -> position
+  std::vector<int> cell_;      // node -> start of its cell
+  std::vector<int> cell_end_;  // cell start -> one past its last position
+  std::vector<int> touched_in_cell_;  // cell start -> members touched so far
+  std::vector<int> count_;     // node -> neighbours in the current splitter
+  std::vector<char> queued_;   // cell start -> in queue_
+  std::vector<int> queue_;
+  std::vector<int> touched_;
+  std::vector<int> touched_cells_;
+  std::vector<int> fragments_;
+  int first_open_ = 0;  // no vertex cell before this position has two members
+};
+
+/// Refines from the seed colours (indexed by node), then individualises
+/// until the vertex partition is discrete. The returned vector is the
+/// canonical vertex id of each vertex: its final position.
+std::vector<int> DiscreteVertexIds(const Incidence& graph,
+                                   const std::vector<uint64_t>& seed) {
+  Refiner refiner(graph, seed);
+  refiner.Refine();
+  while (refiner.Individualise()) refiner.Refine();
+  std::vector<int> ids(graph.n);
+  for (int v = 0; v < graph.n; ++v) ids[v] = refiner.position(v);
   return ids;
 }
 
@@ -166,17 +277,23 @@ CanonicalForm ComputeCanonicalForm(const Hypergraph& graph) {
   const int n = graph.num_vertices();
   const int m = graph.num_edges();
 
-  // Seed colours: vertex degree / edge size (the degree/edge-size refinement).
-  std::vector<uint64_t> vcolor(n), ecolor(m);
-  for (int v = 0; v < n; ++v) {
-    vcolor[v] = static_cast<uint64_t>(graph.edges_of_vertex(v).size());
-  }
+  std::vector<int> edge_offset(1, 0);
+  std::vector<int> members;
+  edge_offset.reserve(m + 1);
   for (int e = 0; e < m; ++e) {
-    ecolor[e] = static_cast<uint64_t>(graph.edge_vertex_list(e).size());
+    const std::vector<int>& edge = graph.edge_vertex_list(e);
+    members.insert(members.end(), edge.begin(), edge.end());
+    edge_offset.push_back(static_cast<int>(members.size()));
   }
-  // Individualisation makes the partition discrete: vcolor IS the canonical
-  // vertex id.
-  std::vector<int> ids = DiscreteVertexIds(graph, std::move(vcolor), std::move(ecolor));
+  const Incidence incidence = BuildIncidence(n, edge_offset, members);
+
+  // Seed colours: vertex degree / edge size (the degree/edge-size
+  // refinement), which is each node's degree in the incidence graph.
+  std::vector<uint64_t> seed(n + m);
+  for (int x = 0; x < n + m; ++x) {
+    seed[x] = static_cast<uint64_t>(incidence.degree(x));
+  }
+  std::vector<int> ids = DiscreteVertexIds(incidence, seed);
 
   CanonicalForm form;
   form.num_vertices = n;
@@ -238,42 +355,39 @@ SubproblemCanonicalForm FingerprintSubhypergraph(const Hypergraph& graph,
 
   // Build the local incidence structure: component edges first, then special
   // edges (a special edge is its interface vertex set).
-  Hypergraph local;
-  for (int i = 0; i < n; ++i) local.AddVertex();
+  std::vector<int> edge_offset(1, 0);
+  std::vector<int> members;
   std::vector<int> local_edge_source;  // local edge index → base edge / special id
   comp.edges.ForEach([&](int e) {
-    std::vector<int> members;
-    for (int v : graph.edge_vertex_list(e)) {
-      members.push_back(local_of_base[v]);
-    }
-    HTD_CHECK(local.AddEdge(members).ok());
+    for (int v : graph.edge_vertex_list(e)) members.push_back(local_of_base[v]);
+    edge_offset.push_back(static_cast<int>(members.size()));
     local_edge_source.push_back(e);
   });
   const int num_component_edges = static_cast<int>(local_edge_source.size());
   for (int s : comp.specials) {
-    std::vector<int> members;
     registry.vertices(s).ForEach(
         [&](int v) { members.push_back(local_of_base[v]); });
-    HTD_CHECK(local.AddEdge(members).ok());
+    edge_offset.push_back(static_cast<int>(members.size()));
     local_edge_source.push_back(s);
   }
-  const int m = local.num_edges();
+  const int m = static_cast<int>(local_edge_source.size());
+  const Incidence incidence = BuildIncidence(n, edge_offset, members);
 
   // Seed colours: (degree, Conn-membership) per vertex, (size, is-special)
   // per edge. Connector vertices outside V(H') cannot occur in solver calls
   // but are ignored if present (the rank filter drops them).
-  std::vector<uint64_t> vseed(n), eseed(m);
+  std::vector<uint64_t> seed(n + m);
   for (int v = 0; v < n; ++v) {
     const bool in_conn = conn.Test(base_of_local[v]);
-    vseed[v] = HashCombine(static_cast<uint64_t>(local.edges_of_vertex(v).size()),
-                           in_conn ? 0xc0 : 0x0c);
+    seed[v] = HashCombine(static_cast<uint64_t>(incidence.degree(v)),
+                          in_conn ? 0xc0 : 0x0c);
   }
   for (int e = 0; e < m; ++e) {
     const bool is_special = e >= num_component_edges;
-    eseed[e] = HashCombine(static_cast<uint64_t>(local.edge_vertex_list(e).size()),
-                           is_special ? 0x5b : 0xb5);
+    seed[n + e] = HashCombine(static_cast<uint64_t>(incidence.degree(n + e)),
+                              is_special ? 0x5b : 0xb5);
   }
-  std::vector<int> ids = DiscreteVertexIds(local, std::move(vseed), std::move(eseed));
+  std::vector<int> ids = DiscreteVertexIds(incidence, seed);
 
   // Rewrite the rank array in place: local ids become canonical ids.
   form.canonical_vertices.assign(n, -1);
@@ -295,7 +409,9 @@ SubproblemCanonicalForm FingerprintSubhypergraph(const Hypergraph& graph,
   for (int e = 0; e < m; ++e) {
     EdgeRecord record;
     record.label = e >= num_component_edges ? 1 : 0;
-    for (int v : local.edge_vertex_list(e)) record.members.push_back(ids[v]);
+    for (int i = edge_offset[e]; i < edge_offset[e + 1]; ++i) {
+      record.members.push_back(ids[members[i]]);
+    }
     std::sort(record.members.begin(), record.members.end());
     record.local_index = e;
     records.push_back(std::move(record));

@@ -4,10 +4,17 @@
 // must hash identically no matter how the client named its vertices or in
 // which order it listed its edges. This module computes an
 // isomorphism-robust canonical form by colour refinement on the bipartite
-// incidence structure (vertices seeded with their degree, edges with their
-// size — the degree/edge-size refinement of the seed's bitset
-// representation), followed by deterministic individualisation of any
-// remaining tied colour class.
+// incidence structure, kept as one ordered partition of the vertices and
+// edges. Each side starts ordered by its seed colour (vertices by degree,
+// edges by size), and each run of equal seeds is a cell. Refinement is
+// worklist-driven (Berkholz, Bonsma and Grohe, ESA 2013): a popped cell
+// splits only the cells next to it, by how many neighbours each member has
+// in it, and a cell that has already split its neighbours re-queues all its
+// fragments but the largest. While a vertex cell has two or more members,
+// the first such cell's lowest original vertex id is moved into a singleton
+// cell, and refinement restarts from that cell alone (the individualisation
+// step of nauty and Traces; McKay and Piperno 2014). Once the vertex cells
+// are singletons, a vertex's position is its canonical id.
 //
 // Guarantees:
 //  * Reordering edges or reordering vertices inside an edge never changes
@@ -131,7 +138,7 @@ struct SubproblemCanonicalForm {
   std::vector<int> special_order;
 };
 
-/// Canonicalises ⟨comp, Conn⟩ by colour refinement restricted to the
+/// Canonicalises ⟨comp, Conn⟩ by the same refinement, restricted to the
 /// component: vertices are seeded with (degree, Conn-membership), edges with
 /// (size, is-special). `conn` uses the base graph's vertex universe; only
 /// its intersection with V(H') participates (the solvers never pass

@@ -37,8 +37,10 @@
 
 namespace htd::service {
 
-/// Bumped on any incompatible change to the payload encoding.
-inline constexpr uint32_t kSnapshotVersion = 1;
+/// Bumped on any incompatible change to the payload encoding or to the
+/// fingerprints that key it. v2: fingerprints come from worklist colour
+/// refinement (service/canonical.h); v1 entries would load but never hit.
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 struct SnapshotStats {
   size_t cache_entries = 0;  ///< result-cache entries written / restored

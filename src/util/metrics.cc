@@ -1,5 +1,6 @@
 #include "util/metrics.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -117,10 +118,23 @@ std::string WithLe(const std::string& labels, const std::string& le) {
 
 std::string MetricsRegistry::RenderPrometheus() const {
   std::lock_guard<std::mutex> lock(mu_);
+  // The text format wants each family's samples in one group: order the
+  // series by their family's first registration, keeping registration order
+  // inside a family.
+  std::map<std::string, size_t> family_rank;
+  std::vector<const Entry*> order;
+  for (const auto& entry : entries_) {
+    family_rank.emplace(entry->name, family_rank.size());
+    order.push_back(entry.get());
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&family_rank](const Entry* a, const Entry* b) {
+                     return family_rank.at(a->name) < family_rank.at(b->name);
+                   });
   std::string out;
   out.reserve(4096);
   std::map<std::string, bool> typed;
-  for (const auto& entry : entries_) {
+  for (const Entry* entry : order) {
     if (!typed.count(entry->name)) {
       typed[entry->name] = true;
       auto help = help_.find(entry->name);

@@ -5,9 +5,10 @@
 // owns one, so tests running several servers in one process keep their
 // counters separate. Updates are relaxed atomics; registration takes a
 // mutex once per metric. RenderPrometheus() reads every metric exactly
-// once, in registration order — register derived counters before their
-// totals (cache hits before submissions) and one page can never report a
-// part exceeding its whole.
+// once, family by family: families in the order of their first
+// registration, each family's series together in registration order.
+// Register a part's family before its whole's (cache hits before
+// submissions) and one page can never report a part exceeding its whole.
 #pragma once
 
 #include <atomic>

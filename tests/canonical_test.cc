@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "benchlib/corpus.h"
 #include "hypergraph/generators.h"
 #include "hypergraph/hypergraph.h"
 #include "util/rng.h"
@@ -66,6 +68,31 @@ std::vector<int> ShuffledOrder(int m, uint64_t seed) {
     std::swap(order[i], order[rng.UniformInt(0, i)]);
   }
   return order;
+}
+
+// Isomorphic copy under one seeded renaming, numbered the way the parser
+// numbers a request: edges in a random order, each edge's members in a
+// random order, and vertices numbered on first use.
+Hypergraph RandomRenaming(const Hypergraph& graph, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<int> edge_order(graph.num_edges());
+  for (int e = 0; e < graph.num_edges(); ++e) edge_order[e] = e;
+  rng.Shuffle(edge_order);
+  std::vector<int> new_id(graph.num_vertices(), -1);
+  Hypergraph out;
+  for (int e : edge_order) {
+    std::vector<int> members = graph.edge_vertex_list(e);
+    rng.Shuffle(members);
+    for (int& v : members) {
+      if (new_id[v] < 0) new_id[v] = out.AddVertex();
+      v = new_id[v];
+    }
+    EXPECT_TRUE(out.AddEdge(members).ok());
+  }
+  for (int v = 0; v < graph.num_vertices(); ++v) {
+    if (new_id[v] < 0) out.AddVertex();  // isolated vertices
+  }
+  return out;
 }
 
 TEST(CanonicalTest, FingerprintIsDeterministic) {
@@ -159,6 +186,54 @@ TEST(CanonicalTest, CanonicalFormShape) {
       EXPECT_LT(v, 5);
     }
   }
+}
+
+// The properties the fingerprint is keyed on, checked on every corpus
+// instance rather than pinned as values: renaming invariance, separation of
+// the corpus's pairwise non-isomorphic instances, and a canonical labelling
+// that is a bijection onto [0, n).
+TEST(CanonicalTest, CorpusFormsAreRenamingInvariantDistinctAndBijective) {
+  const std::vector<bench::Instance> corpus = bench::BuildHyperBenchLikeCorpus();
+  ASSERT_FALSE(corpus.empty());
+  std::set<Fingerprint> distinct;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const Hypergraph& graph = corpus[i].graph;
+    const CanonicalForm form = ComputeCanonicalForm(graph);
+    const std::string text = CanonicalString(form);
+    const int n = graph.num_vertices();
+    ASSERT_EQ(form.num_vertices, n) << corpus[i].name;
+    ASSERT_EQ(form.num_edges, graph.num_edges()) << corpus[i].name;
+
+    std::vector<int> form_degree(n, 0);
+    for (const auto& edge : form.edges) {
+      for (size_t j = 0; j < edge.size(); ++j) {
+        ASSERT_GE(edge[j], 0) << corpus[i].name;
+        ASSERT_LT(edge[j], n) << corpus[i].name;
+        if (j > 0) {
+          ASSERT_LT(edge[j - 1], edge[j]) << corpus[i].name;
+        }
+        ++form_degree[edge[j]];
+      }
+    }
+    std::vector<int> graph_degree(n, 0);
+    for (int v = 0; v < n; ++v) {
+      graph_degree[v] = static_cast<int>(graph.edges_of_vertex(v).size());
+    }
+    std::sort(form_degree.begin(), form_degree.end());
+    std::sort(graph_degree.begin(), graph_degree.end());
+    EXPECT_EQ(form_degree, graph_degree) << corpus[i].name;
+
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      const Hypergraph renamed = RandomRenaming(graph, 1000 * i + seed);
+      const CanonicalForm renamed_form = ComputeCanonicalForm(renamed);
+      ASSERT_EQ(CanonicalString(renamed_form), text)
+          << corpus[i].name << " seed " << seed;
+      ASSERT_EQ(renamed_form.fingerprint, form.fingerprint)
+          << corpus[i].name << " seed " << seed;
+    }
+    distinct.insert(form.fingerprint);
+  }
+  EXPECT_EQ(distinct.size(), corpus.size());
 }
 
 TEST(CanonicalTest, HexRendering) {

@@ -18,6 +18,8 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -947,6 +949,70 @@ TEST(NetServerTest, OneRetentionCapCoversDecomposeAndQueryJobs) {
   backend.Stop();
 }
 
+/// Prometheus text exposition keeps each family's samples in one group:
+/// every sample follows its own family's TYPE line, and no family is
+/// announced twice.
+void ExpectContiguousFamilies(const std::string& page) {
+  std::set<std::string> announced;
+  std::string family;
+  std::string type;
+  std::istringstream lines(page);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream fields(line.substr(7));
+      fields >> family >> type;
+      EXPECT_TRUE(announced.insert(family).second)
+          << family << " is split on the page:\n" << page;
+      continue;
+    }
+    if (line.empty() || line[0] == '#') continue;
+    std::string name = line.substr(0, line.find_first_of("{ "));
+    if (type == "histogram") {
+      for (const std::string suffix : {"_bucket", "_sum", "_count"}) {
+        if (name == family + suffix) name = family;
+      }
+    }
+    EXPECT_EQ(name, family) << "sample outside its family: " << line;
+  }
+}
+
+TEST(NetServerTest, MetricsFamiliesStayContiguousAndQueryStagesStartAtZero) {
+  auto server = DecompositionServer::Create(BaseOptions());
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  ASSERT_TRUE((*server)->Start().ok());
+  int port = (*server)->port();
+
+  WireResponse before = Exchange(port, "GET", "/v1/metrics");
+  ASSERT_EQ(before.status, 200);
+  for (const char* stage : {"decompose", "pick", "execute"}) {
+    EXPECT_NE(before.body.find("\nhtd_query_seconds_count{stage=\"" +
+                               std::string(stage) + "\"} 0\n"),
+              std::string::npos)
+        << "stage " << stage << " missing before the first query";
+  }
+  ExpectContiguousFamilies(before.body);
+
+  // Queries add series by outcome and by pick after start-up.
+  service::Fingerprint unused;
+  ASSERT_EQ(Exchange(port, "POST", "/v1/query", ChainQueryBody(4, &unused))
+                .status,
+            200);
+  ASSERT_EQ(
+      Exchange(port, "POST", "/v1/decompose?k=2", PathInstance()).status, 200);
+  WireResponse after = Exchange(port, "GET", "/v1/metrics");
+  ASSERT_EQ(after.status, 200);
+  for (const char* stage : {"decompose", "pick", "execute"}) {
+    EXPECT_EQ(after.body.find("\nhtd_query_seconds_count{stage=\"" +
+                              std::string(stage) + "\"} 0\n"),
+              std::string::npos)
+        << "stage " << stage << " not observed by the query";
+  }
+  EXPECT_NE(after.body.find("\nhtd_queries_total{outcome=\"satisfiable\"} 1\n"),
+            std::string::npos);
+  ExpectContiguousFamilies(after.body);
+  (*server)->Stop();
+}
+
 // ---------------------------------------------------------------------------
 // Epoll-core transport behaviour: slow-loris reaping, write-timeout slot
 // recovery, io_threads-independent admission, and accept-failure backoff.
@@ -1013,6 +1079,36 @@ TEST(NetServerTest, SlowLorisIsReapedWhileFastClientsAreServed) {
   EXPECT_GE(server.connections_reaped(), 1u);
   dripper.join();
   EXPECT_TRUE(drip_done.load());
+  server.Stop();
+}
+
+TEST(NetServerTest, SilentKeepAliveIsReapedAfterTheLoopSleptIdle) {
+  HttpServer::Options options;
+  options.io_threads = 2;
+  options.loop_threads = 1;
+  options.idle_timeout_seconds = 0.5;
+  HttpServer server(options, OkHandler);
+  ASSERT_TRUE(server.Start().ok());
+
+  // One exchange, then no connection for longer than the idle timeout: the
+  // loop sleeps without a timer.
+  EXPECT_EQ(Exchange(server.port(), "GET", "/anything").status, 200);
+  std::this_thread::sleep_for(800ms);
+  EXPECT_EQ(server.connections_reaped(), 0u);
+
+  // A connection that never sends a byte is still reaped at the idle bound,
+  // not before it.
+  auto silent = util::ConnectTcp("127.0.0.1", server.port(), 5.0);
+  ASSERT_TRUE(silent.ok());
+  util::SetRecvTimeout(silent->fd(), 10.0);
+  const auto start = std::chrono::steady_clock::now();
+  char buffer[64];
+  EXPECT_EQ(util::RecvSome(silent->fd(), buffer, sizeof(buffer)), 0)
+      << "expected the server to close the idle connection";
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(waited, 400ms);
+  EXPECT_LT(waited, 5s);
+  EXPECT_TRUE(WaitFor([&] { return server.connections_reaped() == 1; }, 2s));
   server.Stop();
 }
 

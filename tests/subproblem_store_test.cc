@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "baselines/det_k_decomp.h"
+#include "benchlib/corpus.h"
 #include "core/log_k_decomp.h"
 #include "core/log_k_decomp_basic.h"
+#include "decomp/components.h"
 #include "decomp/validation.h"
 #include "hypergraph/generators.h"
 #include "service/service.h"
@@ -73,6 +75,103 @@ TEST(FingerprintSubhypergraphTest, InvariantUnderRenaming) {
     // The allowed-edge traces are canonical too, so they must coincide.
     EXPECT_EQ(key.allowed_traces, renamed_key.allowed_traces) << "seed=" << seed;
   }
+}
+
+// One seeded renaming with its maps, numbered the way the parser numbers a
+// request: edges in a random order, each edge's members in a random order,
+// and vertices numbered on first use.
+struct Renaming {
+  Hypergraph graph;
+  std::vector<int> vertex;  ///< old vertex id → new vertex id
+  std::vector<int> edge;    ///< old edge id → new edge id
+};
+
+Renaming RandomRenaming(const Hypergraph& graph, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<int> edge_order(graph.num_edges());
+  for (int e = 0; e < graph.num_edges(); ++e) edge_order[e] = e;
+  rng.Shuffle(edge_order);
+  Renaming out;
+  out.vertex.assign(graph.num_vertices(), -1);
+  out.edge.resize(graph.num_edges());
+  for (int e : edge_order) {
+    std::vector<int> members = graph.edge_vertex_list(e);
+    rng.Shuffle(members);
+    for (int& v : members) {
+      if (out.vertex[v] < 0) out.vertex[v] = out.graph.AddVertex();
+      v = out.vertex[v];
+    }
+    auto added = out.graph.AddEdge(members);
+    EXPECT_TRUE(added.ok());
+    out.edge[e] = *added;
+  }
+  for (int v = 0; v < graph.num_vertices(); ++v) {
+    if (out.vertex[v] < 0) out.vertex[v] = out.graph.AddVertex();
+  }
+  return out;
+}
+
+util::DynamicBitset MapBits(const util::DynamicBitset& bits,
+                            const std::vector<int>& map) {
+  util::DynamicBitset out(static_cast<int>(map.size()));
+  bits.ForEach([&](int i) { out.Set(map[i]); });
+  return out;
+}
+
+// Subproblems as the solvers form them, on corpus instances: a component of
+// the full graph below a random separator, with the separator's trace on it
+// as Conn and, on every other triple, that trace as a special edge too. The
+// key must not depend on the naming.
+TEST(FingerprintSubhypergraphTest, CorpusSubproblemsAreRenamingInvariant) {
+  const std::vector<bench::Instance> corpus = bench::BuildHyperBenchLikeCorpus();
+  ASSERT_FALSE(corpus.empty());
+  util::Rng rng(20221017);
+  int checked = 0;
+  for (int triple = 0; triple < 96; ++triple) {
+    const bench::Instance& instance =
+        corpus[rng.UniformInt(0, static_cast<int>(corpus.size()) - 1)];
+    const Hypergraph& graph = instance.graph;
+    SpecialEdgeRegistry registry(graph.num_vertices());
+    std::vector<int> lambda = {rng.UniformInt(0, graph.num_edges() - 1),
+                               rng.UniformInt(0, graph.num_edges() - 1)};
+    const util::DynamicBitset separator = graph.UnionOfEdges(lambda);
+    ComponentSplit split = SplitComponents(
+        graph, registry, ExtendedSubhypergraph::FullGraph(graph), separator);
+    if (split.components.empty()) continue;
+    const int pick =
+        rng.UniformInt(0, static_cast<int>(split.components.size()) - 1);
+    ExtendedSubhypergraph comp = split.components[pick];
+    const util::DynamicBitset conn = split.component_vertices[pick] & separator;
+    const bool with_special = triple % 2 == 1 && conn.Count() > 0;
+    if (with_special) comp.specials = {registry.Add(conn, lambda)};
+
+    const auto form =
+        service::FingerprintSubhypergraph(graph, registry, comp, conn);
+    for (int c = 0; c < form.num_vertices; ++c) {
+      ASSERT_EQ(form.base_vertex_rank[form.canonical_vertices[c]], c)
+          << instance.name;
+    }
+
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      const Renaming renamed = RandomRenaming(graph, 100 * triple + seed);
+      SpecialEdgeRegistry renamed_registry(renamed.graph.num_vertices());
+      ExtendedSubhypergraph renamed_comp;
+      renamed_comp.edges = MapBits(comp.edges, renamed.edge);
+      renamed_comp.edge_count = comp.edge_count;
+      const util::DynamicBitset renamed_conn = MapBits(conn, renamed.vertex);
+      if (with_special) {
+        renamed_comp.specials = {renamed_registry.Add(renamed_conn, {})};
+      }
+      const auto renamed_form = service::FingerprintSubhypergraph(
+          renamed.graph, renamed_registry, renamed_comp, renamed_conn);
+      ASSERT_EQ(form.fingerprint, renamed_form.fingerprint)
+          << instance.name << " triple " << triple << " seed " << seed;
+      ASSERT_EQ(form.num_vertices, renamed_form.num_vertices);
+      ASSERT_EQ(form.special_order.size(), renamed_form.special_order.size());
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 48);
 }
 
 TEST(FingerprintSubhypergraphTest, ConnectorColoursDistinguish) {

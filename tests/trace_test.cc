@@ -345,6 +345,40 @@ TEST(MetricsRegistryTest, RenderReadsInRegistrationOrder) {
   EXPECT_LT(whole, gauge);
 }
 
+TEST(MetricsRegistryTest, RenderGroupsEachFamilyInFirstRegistrationOrder) {
+  // Series of one family registered around other families still render as
+  // one group under one TYPE line, families in first-registration order.
+  MetricsRegistry registry;
+  registry.GetCounter("a_total", "x=\"1\"").Add(1);
+  registry.GetHistogram("b_seconds", "stage=\"one\"").Observe(0.001);
+  registry.GetCounter("c_total").Add(2);
+  registry.GetCounter("a_total", "x=\"2\"").Add(3);
+  registry.GetHistogram("b_seconds", "stage=\"two\"").Observe(0.002);
+  const std::string text = registry.RenderPrometheus();
+  const std::vector<std::string> in_order = {
+      "# TYPE a_total counter\n",
+      "a_total{x=\"1\"} 1\n",
+      "a_total{x=\"2\"} 3\n",
+      "# TYPE b_seconds histogram\n",
+      "b_seconds_count{stage=\"one\"} 1\n",
+      "b_seconds_bucket{stage=\"two\",le=\"1e-06\"} 0\n",
+      "b_seconds_count{stage=\"two\"} 1\n",
+      "# TYPE c_total counter\n",
+      "c_total 2\n"};
+  size_t last = 0;
+  for (const std::string& line : in_order) {
+    const size_t at = text.find(line);
+    ASSERT_NE(at, std::string::npos) << line << " missing in:\n" << text;
+    EXPECT_GE(at, last) << line << " out of order in:\n" << text;
+    last = at;
+  }
+  for (const char* family : {"a_total", "b_seconds", "c_total"}) {
+    const std::string type = std::string("# TYPE ") + family + " ";
+    EXPECT_EQ(text.find(type, text.find(type) + 1), std::string::npos)
+        << family << " announced twice in:\n" << text;
+  }
+}
+
 TEST(MetricsRegistryTest, RenderPrometheusShape) {
   MetricsRegistry registry;
   registry.SetHelp("req_total", "Requests served.");
