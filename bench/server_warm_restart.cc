@@ -108,7 +108,6 @@ PassReport RunPass(service::DecompositionService& service, const Workload& workl
 
 service::ServiceOptions MakeOptions() {
   service::ServiceOptions options;
-  options.num_workers = 4;
   options.solve.num_threads = 0;  // batch-aware auto
   options.enable_subproblem_store = true;
   return options;

@@ -110,7 +110,6 @@ int Main() {
     service::ServiceOptions options;
     options.solver_name = "logk";
     options.executor = &executor;
-    options.num_workers = workers;
     options.cache_capacity = 2 * graphs.size();
     service::DecompositionService svc(options);
     BatchOutcome outcome = RunBatch(svc, graphs, k, timeout);
@@ -129,7 +128,6 @@ int Main() {
     service::ServiceOptions options;
     options.solver_name = "logk";
     options.executor = &executor;
-    options.num_workers = max_workers;
     options.cache_capacity = 2 * graphs.size();
     service::DecompositionService svc(options);
     BatchOutcome cold = RunBatch(svc, graphs, k, timeout);
@@ -168,7 +166,6 @@ int Main() {
     service::ServiceOptions options;
     options.solver_name = "logk";
     options.executor = &executor;
-    options.num_workers = max_workers;
     options.enable_result_cache = false;  // measure solves, not memoization
     options.solve.num_threads = adaptive ? 0 : 1;
     service::DecompositionService svc(options);

@@ -380,12 +380,12 @@ class EventLoop {
     conn.deadline = Clock::time_point::max();
     SetInterest(conn, 0);  // quiescent until the response comes back
     HttpServer* server = server_;
-    server->io_pool_->Submit([server, loop = this, conn_id = conn.id,
-                              fd = conn.fd, request = std::move(request),
-                              close]() {
+    server->handlers_->Submit([server, loop = this, conn_id = conn.id,
+                               fd = conn.fd, request = std::move(request),
+                               close]() {
       HttpResponse response;
       // The handler is application code; a stray exception must cost one
-      // 500, not the worker.
+      // 500, not the worker (the executor does not catch what escapes).
       try {
         response = server->handler_(request);
       } catch (...) {
@@ -570,18 +570,17 @@ util::Status HttpServer::Start() {
   if (!listener.ok()) return listener.status();
   listener_ = std::move(*listener);
   port_ = util::LocalPort(listener_.fd());
-  io_pool_ = std::make_unique<util::ThreadPool>(std::max(1, options_.io_threads));
   loops_.clear();
   for (int i = 0; i < std::max(1, options_.loop_threads); ++i) {
     auto loop = std::make_unique<internal::EventLoop>(this);
     if (auto status = loop->Init(); !status.ok()) {
       loops_.clear();
-      io_pool_.reset();
       listener_.Close();
       return status;
     }
     loops_.push_back(std::move(loop));
   }
+  handlers_ = std::make_unique<util::Executor>(options_.io_threads);
   for (auto& loop : loops_) loop->StartThread();
   running_.store(true, std::memory_order_release);
   acceptor_ = std::thread([this] { AcceptLoop(); });
@@ -601,9 +600,8 @@ void HttpServer::Stop() {
   for (auto& loop : loops_) loop->BeginDrain();
   for (auto& loop : loops_) loop->Join();
   // Handler tasks all posted their completions before the loops emptied;
-  // WaitIdle reaps the tail of any task still returning.
-  io_pool_->WaitIdle();
-  io_pool_.reset();
+  // the executor's destructor waits for any task still returning.
+  handlers_.reset();
   loops_.clear();
 }
 

@@ -10,11 +10,13 @@
 // while loop_threads stays at a handful.
 //
 // Handlers still BLOCK — a synchronous decompose runs for seconds — so a
-// parsed request is dispatched to the io_threads pool (util::ThreadPool)
-// exactly as in the thread-per-connection design; only the connection's
-// bytes moved into the loop. While a request is dispatched its connection
-// is quiescent in epoll; the handler's completion posts the serialised
-// response back to the owning loop through an eventfd-woken queue.
+// parsed request is dispatched to the handler pool: a private
+// util::Executor of io_threads workers, separate from the compute executor
+// that runs solves, so a handler waiting on a solve or a socket never holds
+// a compute worker. Its idle workers sleep until a request arrives. While a
+// request is dispatched its connection is quiescent in epoll; the handler's
+// completion posts the serialised response back to the owning loop through
+// an eventfd-woken queue. A handler that throws costs one 500.
 //
 // Write interest (EPOLLOUT, level-triggered) is armed only while a response
 // is partially flushed and disarmed the moment the buffer drains, so idle
@@ -29,8 +31,8 @@
 //
 // Shutdown: Stop() stops the acceptor, closes idle connections, lets
 // dispatched handlers finish and FLUSHES their in-flight responses (bounded
-// by the write timeout), then joins the loops. Idempotent; called from the
-// destructor.
+// by the write timeout), joins the loops, then destroys the handler pool.
+// Idempotent; called from the destructor.
 #pragma once
 
 #include <atomic>
@@ -42,9 +44,9 @@
 #include <vector>
 
 #include "net/http.h"
+#include "util/executor.h"
 #include "util/socket.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace htd::net {
 
@@ -59,10 +61,10 @@ class HttpServer {
     /// 0 = kernel-assigned ephemeral port (tests); read it back via port().
     int port = 0;
     int backlog = 64;
-    /// Handler-executing threads (the IO pool). A synchronous request
-    /// blocks one for its full duration (including solves), so size ≥ the
-    /// expected concurrent REQUEST count. Idle connections no longer pin
-    /// these — connection count is bounded by max_connections alone.
+    /// Workers of the handler pool. A synchronous request blocks one for
+    /// its full duration (including solves), so size ≥ the expected
+    /// concurrent REQUEST count. Idle connections do not pin these —
+    /// connection count is bounded by max_connections alone.
     int io_threads = 8;
     /// Event-loop worker ring: threads running epoll sets. Connection I/O
     /// is cheap; a few loops drive tens of thousands of sockets.
@@ -92,7 +94,7 @@ class HttpServer {
   struct ConnectionCounts {
     uint64_t idle = 0;        ///< keep-alive, between requests
     uint64_t reading = 0;     ///< request bytes partially received
-    uint64_t dispatched = 0;  ///< handler running on the IO pool
+    uint64_t dispatched = 0;  ///< handler running on the handler pool
     uint64_t writing = 0;     ///< response partially flushed
     uint64_t total() const { return idle + reading + dispatched + writing; }
   };
@@ -152,7 +154,8 @@ class HttpServer {
   std::atomic<int64_t> live_connections_{0};
   std::thread acceptor_;
   std::vector<std::unique_ptr<internal::EventLoop>> loops_;
-  std::unique_ptr<util::ThreadPool> io_pool_;
+  /// The handler pool; lives from Start() to the end of Stop().
+  std::unique_ptr<util::Executor> handlers_;
 };
 
 }  // namespace htd::net

@@ -5,6 +5,7 @@
 #include <future>
 #include <vector>
 
+#include "decomp/validation.h"
 #include "util/timer.h"
 
 namespace htd::qa {
@@ -201,6 +202,13 @@ util::StatusOr<QueryAnswer> QueryEngine::Answer(const cq::Query& query,
   // Stage 3: execute Yannakakis over the picked tree.
   {
     if (out_of_time()) return finish(QueryOutcome::kDeadline);
+    // Fail closed: the warm stack can hand back a tree made for another
+    // naming of this query, and executing one that is not a GHD of the
+    // request's own hypergraph aborts the process.
+    if (Validation valid = ValidateGhd(graph, pick.decomposition); !valid) {
+      return util::Status::Internal(
+          "picked decomposition is not a GHD of the query: " + valid.error);
+    }
     util::WallTimer timer;
     util::TraceScope span("execute", trace,
                           static_cast<uint64_t>(pick.width));

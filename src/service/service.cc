@@ -144,9 +144,6 @@ util::StatusOr<std::unique_ptr<DecompositionService>> DecompositionService::Crea
     ServiceOptions options) {
   auto factory = MakeSolverFactory(options.solver_name);
   if (!factory.ok()) return factory.status();
-  if (options.num_workers < 1) {
-    return util::Status::InvalidArgument("num_workers must be >= 1");
-  }
   if (options.solve.num_threads < 0) {
     return util::Status::InvalidArgument(
         "solve.num_threads must be >= 0 (0 = batch-aware auto)");

@@ -53,11 +53,6 @@ struct ServiceOptions {
   /// Tests and benches inject a private instance for deterministic widths.
   util::Executor* executor = nullptr;
 
-  /// Compatibility knob from the thread-pool era: tools use it to size the
-  /// global executor at startup (util::Executor::InitGlobal). The service
-  /// itself no longer forks workers; when `executor` is set this is unused.
-  int num_workers = 4;
-
   /// Whole-instance result memoization.
   bool enable_result_cache = true;
   size_t cache_capacity = 4096;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "service/persistence.h"
 #include "util/cli.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -130,10 +131,14 @@ std::string ShardMap::Serialise() const {
 uint64_t ShardMap::Digest() const {
   // FNV-1a over the canonical serialisation, then mixed: equal maps — and
   // only equal maps — digest equally. The serialisation carries the replica
-  // grouping, so changing replication alone changes the digest too.
+  // grouping, so changing replication alone changes the digest too. The
+  // snapshot version names the fingerprint function whose space the ranges
+  // split, so peers on different versions disagree on the digest (421)
+  // instead of filing entries outside each other's ranges.
   uint64_t h = 1469598103934665603ULL;
-  const std::string text =
-      std::to_string(replicas_.size()) + ";" + Serialise();
+  const std::string text = "v" + std::to_string(kSnapshotVersion) + ";" +
+                           std::to_string(replicas_.size()) + ";" +
+                           Serialise();
   for (unsigned char c : text) {
     h ^= c;
     h *= 1099511628211ULL;

@@ -24,10 +24,11 @@
 // non-event instead of a cold start. Every participant — the hdserver proxy
 // mode, sharded hdserver backends, and hdclient doing client-side hashing —
 // must hold the SAME map: Digest() condenses the full topology (replica
-// groups included) into 64 bits that are attached to forwarded requests
+// groups included) and the snapshot version that names the fingerprint
+// function into 64 bits that are attached to forwarded requests
 // (x-htd-shard-digest) and checked by the backends, so a client or proxy
-// operating on a stale map is refused with 421 instead of silently
-// poisoning another shard's range.
+// operating on a stale map, or fingerprinting with another version, is
+// refused with 421 instead of silently poisoning another shard's range.
 //
 // Routing is pure arithmetic (no lookup tables): IndexFor is a division,
 // RangeFor an interval — deterministic across processes, architectures,

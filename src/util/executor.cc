@@ -150,9 +150,12 @@ void Executor::WorkerLoop(int slot) {
       fn = nullptr;
       continue;
     }
+    // Park until work arrives. Submit bumps unclaimed_ before it takes
+    // lanes_mutex_ to notify, so this predicate, checked under that lock,
+    // cannot miss a task; only workers wait on lanes_cv_, so the notify
+    // cannot be spent on a thread that may not run the task.
     std::unique_lock<std::mutex> lock(lanes_mutex_);
-    if (stopping_ && unclaimed_.load(std::memory_order_relaxed) == 0) return;
-    lanes_cv_.wait_for(lock, std::chrono::milliseconds(50), [this] {
+    lanes_cv_.wait(lock, [this] {
       return stopping_ || unclaimed_.load(std::memory_order_relaxed) > 0;
     });
     if (stopping_ && unclaimed_.load(std::memory_order_relaxed) == 0) return;
@@ -167,8 +170,9 @@ void Executor::HelpWhileWaiting(const std::function<bool()>& ready) {
       RunTask(fn);
       continue;
     }
-    std::unique_lock<std::mutex> lock(lanes_mutex_);
-    lanes_cv_.wait_for(lock, std::chrono::milliseconds(1));
+    // Not on lanes_cv_: a helper woken by Submit could not run a
+    // background task, and the worker that could would sleep on.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
 

@@ -1,11 +1,15 @@
-// Fleet-wide work-stealing executor shared by every solve in the process.
+// Work-stealing executor: the process's one thread-pool implementation.
 //
-// One `Executor` owns all compute threads (solver chunk workers, scheduler
-// flights, background query jobs). Each worker thread keeps a private deque:
-// tasks spawned from that worker push onto the back and are popped from the
-// back (LIFO, cache-hot), while idle workers steal from the front of other
-// workers' deques (FIFO, oldest-first — the classic Blumofe/Leiserson shape,
-// here "lock-free-ish": each deque is guarded by its own small mutex whose
+// The global instance (`Global()`) owns all compute threads (solver chunk
+// workers, scheduler flights, background query jobs). `net::HttpServer`
+// runs its request handlers on a private instance, so a handler blocked on
+// a socket never holds a compute worker.
+//
+// Each worker thread keeps a private deque: tasks spawned from that worker
+// push onto the back and are popped from the back (LIFO, cache-hot), while
+// idle workers steal from the front of other workers' deques (FIFO,
+// oldest-first — the classic Blumofe/Leiserson shape, here
+// "lock-free-ish": each deque is guarded by its own small mutex whose
 // critical sections are a handful of pointer moves, which keeps the whole
 // thing trivially TSan-clean at no measurable cost next to a candidate
 // check). Tasks submitted from non-worker threads land in one of three
@@ -17,7 +21,8 @@
 //
 // Idle workers drain lanes in priority order, but roughly every 64th lane
 // pick scans in reverse so a flood of sync traffic cannot starve the
-// background lane forever.
+// background lane forever. A worker with nothing to run sleeps until a
+// Submit wakes it; an idle executor makes no timed wake-ups.
 //
 // `TaskGroup` is the structured-concurrency layer on top: a group owns a bag
 // of spawned closures, and what goes into the executor is only a *ticket*
@@ -80,8 +85,9 @@ class Executor {
   /// true. Only sync/async-lane tasks and deque steals are eligible —
   /// never the background lane, whose tasks may themselves block on
   /// solves (running one here could recurse into another blocking wait).
-  /// Callable from any thread; non-worker threads that find no eligible
-  /// work just poll `ready` with a short sleep.
+  /// Callable from any thread. A caller that finds no eligible work
+  /// re-checks `ready` every millisecond; it never waits on the workers'
+  /// wake-up, so a Submit's notify always reaches a worker.
   void HelpWhileWaiting(const std::function<bool()>& ready);
 
   /// True when the calling thread is one of this executor's workers.

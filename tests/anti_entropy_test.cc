@@ -599,7 +599,6 @@ std::unique_ptr<net::DecompositionServer> StartReplica(
   net::DecompositionServerOptions options;
   options.http.port = port;
   options.http.io_threads = 2;
-  options.service.num_workers = 2;
   options.service.default_timeout_seconds = 30.0;
   options.service.enable_subproblem_store = true;
   options.shard_map = map;
@@ -664,7 +663,6 @@ TEST(SweepTest, UnreplicatedRangeSkipsAndUnshardedIs412) {
   net::DecompositionServerOptions plain;
   plain.http.port = 0;
   plain.http.io_threads = 2;
-  plain.service.num_workers = 1;
   auto server = net::DecompositionServer::Create(plain);
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE((*server)->Start().ok());
@@ -796,7 +794,6 @@ TEST(SweepTest, BackgroundLoopConvergesWithoutOperatorAction) {
   net::DecompositionServerOptions options;
   options.http.port = pb;
   options.http.io_threads = 2;
-  options.service.num_workers = 2;
   options.service.enable_subproblem_store = true;
   options.shard_map = map;
   options.shard_index = 0;

@@ -57,6 +57,32 @@ TEST(ExecutorTest, DestructorDrainsQueuedTasks) {
   EXPECT_EQ(ran.load(), 128);
 }
 
+TEST(ExecutorTest, ParkedWorkerRunsBackgroundWorkWhileAThreadHelps) {
+  // Helpers may not run background tasks, so a Submit's wake-up must reach
+  // the parked worker even while other threads sit in HelpWhileWaiting.
+  // Each round submits just after the worker parked again, when a helper
+  // has often been waiting longer than the worker; a lost wake-up fails the
+  // round at SpinUntil's budget instead of hanging the suite.
+  std::atomic<int> ran{0};  // outlives the executor, which drains on exit
+  std::atomic<bool> release{false};
+  Executor executor(1);
+  std::vector<std::thread> helpers;
+  for (int i = 0; i < 3; ++i) {
+    helpers.emplace_back([&executor, &release] {
+      executor.HelpWhileWaiting([&release] { return release.load(); });
+    });
+  }
+  for (int round = 0; round < 50; ++round) {
+    executor.Submit([&ran] { ran.fetch_add(1); }, Executor::Lane::kBackground);
+    bool woke = SpinUntil([&] { return ran.load() == round + 1; });
+    EXPECT_TRUE(woke) << "round " << round
+                      << ": the background task never ran";
+    if (!woke) break;
+  }
+  release.store(true);
+  for (std::thread& helper : helpers) helper.join();
+}
+
 TEST(ExecutorTest, IdleWorkersStealFromALoadedDeque) {
   // One worker seeds its own deque with many tasks (worker-side Submit goes
   // to the private deque, not a lane); the other workers must steal them —
@@ -117,16 +143,23 @@ TEST(ExecutorTest, BackgroundLaneIsNotStarvedByASyncFlood) {
 
 TEST(TaskGroupTest, WaitRunsEverySpawnedTaskAtAnyWorkerCount) {
   for (int workers : {1, 4}) {
-    Executor executor(workers);
-    TaskGroup group(executor);
     std::atomic<int> ran{0};
-    for (int i = 0; i < 100; ++i) {
-      group.Spawn([&ran] { ran.fetch_add(1); });
-    }
-    group.Wait();
+    std::atomic<int> peak{-1};
+    Executor executor(workers);
+    // Spawn and Wait on a worker: a waiter drains its own bag as a group
+    // participant, so only then is every participant one of `workers`.
+    executor.Submit([&executor, &ran, &peak] {
+      TaskGroup group(executor);
+      for (int i = 0; i < 100; ++i) {
+        group.Spawn([&ran] { ran.fetch_add(1); });
+      }
+      group.Wait();
+      peak.store(group.peak_width());
+    });
+    ASSERT_TRUE(SpinUntil([&] { return peak.load() >= 0; }));
     EXPECT_EQ(ran.load(), 100) << workers << " workers";
-    EXPECT_GE(group.peak_width(), 1);
-    EXPECT_LE(group.peak_width(), workers);
+    EXPECT_GE(peak.load(), 1);
+    EXPECT_LE(peak.load(), workers);
   }
 }
 

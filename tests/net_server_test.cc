@@ -20,6 +20,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,7 +74,6 @@ DecompositionServerOptions BaseOptions() {
   DecompositionServerOptions options;
   options.http.port = 0;  // ephemeral
   options.http.io_threads = 4;
-  options.service.num_workers = 2;
   options.service.default_timeout_seconds = 30.0;
   return options;
 }
@@ -220,7 +220,6 @@ TEST(NetServerTest, AsyncJobLifecycle) {
 
 TEST(NetServerTest, AdmissionControlShedsWith429) {
   DecompositionServerOptions options = BaseOptions();
-  options.service.num_workers = 1;
   options.max_queue_depth = 2;
   options.retry_after_seconds = 3;
   auto server = DecompositionServer::Create(options);
@@ -229,8 +228,8 @@ TEST(NetServerTest, AdmissionControlShedsWith429) {
   int port = (*server)->port();
 
   // A clique this size at k=4 runs far longer than the test (it is shed or
-  // cancelled long before finishing), so it pins the single worker while
-  // the flood arrives.
+  // cancelled long before finishing), so each admitted job stays
+  // outstanding while the flood arrives.
   std::string slow = WriteHyperBench(MakeClique(24));
   int accepted = 0, shed = 0;
   for (int i = 0; i < 6; ++i) {
@@ -259,7 +258,6 @@ TEST(NetServerTest, AdmissionControlShedsWith429) {
 
 TEST(NetServerTest, SyncFloodShedsAtTheConnectionBound) {
   DecompositionServerOptions options = BaseOptions();
-  options.service.num_workers = 1;
   options.http.io_threads = 2;
   options.http.max_connections = 2;  // both slots will be pinned
   auto server = DecompositionServer::Create(options);
@@ -267,8 +265,8 @@ TEST(NetServerTest, SyncFloodShedsAtTheConnectionBound) {
   ASSERT_TRUE((*server)->Start().ok());
   int port = (*server)->port();
 
-  // Two synchronous requests pin both connection slots (the single worker
-  // solves one; the other waits in the scheduler) — no async, so the
+  // Two synchronous requests pin both connection slots (their handlers
+  // block on the same long solve) — no async, so the
   // application-level queue bound alone could never shed this shape. The
   // pinning connections are opened HERE, sequentially, before any stats
   // probe: the kernel's accept queue is FIFO, so they own the two slots
@@ -287,7 +285,7 @@ TEST(NetServerTest, SyncFloodShedsAtTheConnectionBound) {
   ASSERT_TRUE(util::SendAll(pin2->fd(), pin_request));
 
   // Once the acceptor has admitted both, the next connection must be shed
-  // with 503 at the transport instead of queueing in the IO pool.
+  // with 503 at the transport instead of queueing in the handler pool.
   WireResponse shed;
   for (int i = 0; i < 200; ++i) {
     shed = Exchange(port, "GET", "/v1/metrics");
@@ -331,7 +329,6 @@ TEST(NetServerTest, AsyncQueryJobsCountAgainstTheAdmissionBound) {
   // the 429 bound without limit. They now run on the executor's background
   // lane and are counted, so the same bound covers both job kinds.
   DecompositionServerOptions options = BaseOptions();
-  options.service.num_workers = 1;
   options.max_queue_depth = 2;
   options.retry_after_seconds = 3;
   auto server = DecompositionServer::Create(options);
@@ -1034,6 +1031,26 @@ HttpResponse OkHandler(const HttpRequest&) {
   HttpResponse response;
   response.body = "{\"ok\": true}\n";
   return response;
+}
+
+TEST(NetServerTest, ThrowingHandlerCostsOne500AndServingContinues) {
+  // One handler thread: if the throw escaped the dispatch closure it would
+  // take that thread down and the next request would never be answered.
+  HttpServer::Options options;
+  options.io_threads = 1;
+  options.loop_threads = 1;
+  HttpServer server(options, [](const HttpRequest& request) {
+    if (request.target == "/throw") throw std::runtime_error("handler bug");
+    return OkHandler(request);
+  });
+  ASSERT_TRUE(server.Start().ok());
+  for (int i = 0; i < 3; ++i) {
+    WireResponse thrown = Exchange(server.port(), "GET", "/throw");
+    EXPECT_EQ(thrown.status, 500) << thrown.body;
+    WireResponse next = Exchange(server.port(), "GET", "/anything");
+    EXPECT_EQ(next.status, 200) << next.body;
+  }
+  server.Stop();
 }
 
 TEST(NetServerTest, SlowLorisIsReapedWhileFastClientsAreServed) {

@@ -12,6 +12,7 @@
 #include "cq/database.h"
 #include "cq/query.h"
 #include "cq/yannakakis.h"
+#include "hypergraph/generators.h"
 #include "qa/portfolio.h"
 #include "qa/query_engine.h"
 #include "qa/wire.h"
@@ -241,14 +242,8 @@ TEST(PortfolioTest, PickBestMinimisesEstimatedCost) {
 // ---------------------------------------------------------------------------
 // QueryEngine against a real service.
 
-service::ServiceOptions SmallService() {
-  service::ServiceOptions options;
-  options.num_workers = 2;
-  return options;
-}
-
 TEST(QueryEngineTest, AnswersWithVerifiedWitnessAndCount) {
-  service::DecompositionService service(SmallService());
+  service::DecompositionService service;
   QueryEngine engine(&service);
   auto query = cq::ParseQuery("R(X,Y), S(Y,Z).");
   ASSERT_TRUE(query.ok());
@@ -283,7 +278,7 @@ TEST(QueryEngineTest, AnswersWithVerifiedWitnessAndCount) {
 }
 
 TEST(QueryEngineTest, UnsatisfiableQueryCountsZero) {
-  service::DecompositionService service(SmallService());
+  service::DecompositionService service;
   QueryEngine engine(&service);
   auto query = cq::ParseQuery("R(X,Y), S(Y,Z).");
   ASSERT_TRUE(query.ok());
@@ -298,7 +293,7 @@ TEST(QueryEngineTest, UnsatisfiableQueryCountsZero) {
 }
 
 TEST(QueryEngineTest, CountOverrideSkipsCounting) {
-  service::DecompositionService service(SmallService());
+  service::DecompositionService service;
   QueryEngine engine(&service);
   auto query = cq::ParseQuery("R(X,Y).");
   ASSERT_TRUE(query.ok());
@@ -311,7 +306,7 @@ TEST(QueryEngineTest, CountOverrideSkipsCounting) {
 }
 
 TEST(QueryEngineTest, WidthBeyondMaxKIsNoDecomposition) {
-  service::DecompositionService service(SmallService());
+  service::DecompositionService service;
   QueryEngineOptions options;
   options.max_k = 1;  // a triangle needs width 2
   QueryEngine engine(&service, options);
@@ -327,7 +322,7 @@ TEST(QueryEngineTest, WidthBeyondMaxKIsNoDecomposition) {
 }
 
 TEST(QueryEngineTest, SchemaErrorsAreInvalidArgument) {
-  service::DecompositionService service(SmallService());
+  service::DecompositionService service;
   QueryEngine engine(&service);
   auto query = cq::ParseQuery("R(X,Y), S(Y,Z).");
   ASSERT_TRUE(query.ok());
@@ -344,13 +339,81 @@ TEST(QueryEngineTest, SchemaErrorsAreInvalidArgument) {
 }
 
 TEST(QueryEngineTest, ExpiredDeadlineIsDeadlineOutcome) {
-  service::DecompositionService service(SmallService());
+  service::DecompositionService service;
   QueryEngine engine(&service);
   auto query = cq::ParseQuery("R(X,Y), S(Y,Z).");
   ASSERT_TRUE(query.ok());
   auto answer = engine.Answer(*query, SampleDatabase(), /*timeout_seconds=*/1e-12);
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer->outcome, QueryOutcome::kDeadline);
+}
+
+// A query in perfbench's serve-query shapes: a cycle for even seeds, a
+// random CQ otherwise, with a 12-value database of 50 tuples a relation.
+struct SeededQuery {
+  cq::Query query;
+  cq::Database db;
+};
+
+SeededQuery MakeSeededQuery(util::Rng& rng, uint64_t seed) {
+  const int atoms = rng.UniformInt(4, 10);
+  Hypergraph graph = seed % 2 == 0 ? MakeCycle(atoms)
+                                   : MakeRandomCq(rng, atoms, 3, 0.3);
+  SeededQuery out;
+  for (int e = 0; e < graph.num_edges(); ++e) {
+    cq::Atom atom;
+    atom.relation = "R" + std::to_string(e);
+    for (int v : graph.edge_vertex_list(e)) {
+      atom.variables.push_back("X" + std::to_string(v));
+    }
+    out.query.atoms.push_back(std::move(atom));
+  }
+  out.db = cq::RandomDatabase(rng, out.query, 12, 50, 0.7);
+  return out;
+}
+
+/// The query with its atoms shuffled and every variable renamed.
+cq::Query RenamedCopy(const cq::Query& query, util::Rng& rng, int copy) {
+  cq::Query renamed = query;
+  rng.Shuffle(renamed.atoms);
+  for (cq::Atom& atom : renamed.atoms) {
+    for (std::string& variable : atom.variables) {
+      variable = "C" + std::to_string(copy) + "_" + variable;
+    }
+  }
+  return renamed;
+}
+
+TEST(QueryEngineTest, RenamedQueriesFailClosedOrAgreeWithBruteForce) {
+  // The warm stack answers a renamed query with decompositions made for
+  // the base naming. Executing such a tree aborted the process in
+  // ProjectTo (cq/yannakakis.cc) for seeds 1000 (a cycle) and 1013 (a
+  // random CQ); most renamed copies of 1035 are answered. The engine must
+  // refuse a tree that does not fit with an error, or answer what the
+  // brute-force oracle says.
+  for (uint64_t seed : {1000ull, 1013ull, 1035ull}) {
+    util::Rng rng(seed);
+    SeededQuery base = MakeSeededQuery(rng, seed);
+    service::DecompositionService service;
+    QueryEngine engine(&service);
+    ASSERT_TRUE(engine.Answer(base.query, base.db, 0).ok()) << "seed " << seed;
+    for (int copy = 1; copy <= 6; ++copy) {
+      cq::Query renamed = RenamedCopy(base.query, rng, copy);
+      auto answer = engine.Answer(renamed, base.db, 0);
+      if (!answer.ok()) {
+        EXPECT_EQ(answer.status().code(), util::StatusCode::kInternal)
+            << "seed " << seed << " copy " << copy << ": "
+            << answer.status().message();
+        continue;
+      }
+      auto oracle = cq::EvaluateBruteForce(renamed, base.db);
+      ASSERT_TRUE(oracle.ok());
+      EXPECT_EQ(answer->outcome, oracle->satisfiable
+                                     ? QueryOutcome::kSatisfiable
+                                     : QueryOutcome::kUnsatisfiable)
+          << "seed " << seed << " copy " << copy;
+    }
+  }
 }
 
 // End-to-end property sweep: random queries and databases through the full
@@ -379,7 +442,7 @@ TEST_P(QueryEnginePropertyTest, AgreesWithBruteForce) {
   auto decoded = ParseQueryRequest(*wire);
   ASSERT_TRUE(decoded.ok()) << decoded.status().message();
 
-  service::DecompositionService service(SmallService());
+  service::DecompositionService service;
   QueryEngine engine(&service);
   auto answer = engine.Answer(decoded->query, decoded->db, 0);
   ASSERT_TRUE(answer.ok()) << answer.status().message();

@@ -65,7 +65,6 @@ std::unique_ptr<DecompositionServer> StartBackend(int port,
   DecompositionServerOptions options;
   options.http.port = port;
   options.http.io_threads = 2;
-  options.service.num_workers = 2;
   options.service.default_timeout_seconds = 30.0;
   options.shard_map = map;
   options.shard_index = index;
@@ -187,7 +186,6 @@ TEST(ReshardTest, TransitioningBackendAcceptsBothTopologies) {
   const service::ShardMap new_map = MustParse("a:1001,b:1002,c:1003");
   DecompositionServerOptions options;
   options.http.port = 0;
-  options.service.num_workers = 1;
   options.shard_map = old_map;
   options.shard_index = 0;
   auto server = DecompositionServer::Create(options);
@@ -293,7 +291,6 @@ TEST(ReshardTest, ImportOfDominatedVariantDoesNotDuplicate) {
   // dominance-rejected).
   DecompositionServerOptions options;
   options.http.port = 0;
-  options.service.num_workers = 1;
   options.service.enable_subproblem_store = true;
   auto server = DecompositionServer::Create(options);
   ASSERT_TRUE(server.ok());
@@ -313,7 +310,6 @@ TEST(ReshardTest, ImportOfDominatedVariantDoesNotDuplicate) {
 TEST(ReshardTest, ExportedRangeRoundTripsThroughImport) {
   DecompositionServerOptions options;
   options.http.port = 0;
-  options.service.num_workers = 1;
   auto server = DecompositionServer::Create(options);
   ASSERT_TRUE(server.ok());
   const std::string instance = WriteHyperBench(MakePath(5));

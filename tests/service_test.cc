@@ -16,7 +16,6 @@ namespace {
 TEST(ServiceTest, SolvesWithRealSolver) {
   ServiceOptions options;
   options.solver_name = "logk";
-  options.num_workers = 2;
   DecompositionService service(options);
 
   Hypergraph cycle = MakeCycle(10);
@@ -68,7 +67,6 @@ TEST(ServiceTest, RenamedInstanceHitsTheSameCacheEntry) {
 
 TEST(ServiceTest, BatchSubmissionCompletesEveryJob) {
   ServiceOptions options;
-  options.num_workers = 4;
   DecompositionService service(options);
 
   std::vector<Hypergraph> graphs;
@@ -120,17 +118,10 @@ TEST(ServiceTest, CreateRejectsUnknownSolver) {
   EXPECT_EQ(service.status().code(), util::StatusCode::kInvalidArgument);
 }
 
-TEST(ServiceTest, CreateRejectsBadWorkerCount) {
-  ServiceOptions options;
-  options.num_workers = 0;
-  EXPECT_FALSE(DecompositionService::Create(options).ok());
-}
-
 TEST(ServiceTest, EveryRegisteredSolverWorksEndToEnd) {
   for (const std::string& name : KnownSolverNames()) {
     ServiceOptions options;
     options.solver_name = name;
-    options.num_workers = 2;
     auto service = DecompositionService::Create(options);
     ASSERT_TRUE(service.ok()) << name;
     Hypergraph graph = MakeCycle(6);

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "service/persistence.h"
 #include "service/result_cache.h"
 #include "service/subproblem_store.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace htd::service {
@@ -149,6 +151,22 @@ TEST(ShardMapTest, ReplicationIsTopology) {
             MustParse("a:1,b:2,c:3").Digest());
   EXPECT_EQ(MustParse("a:1*1,b:2").Digest(), MustParse("a:1,b:2").Digest());
   EXPECT_EQ(MustParse("a:1*1,b:2").Serialise(), "a:1,b:2");
+}
+
+TEST(ShardMapTest, DigestCoversTheFingerprintVersion) {
+  // A digest of the topology alone (FNV-1a of "n;map", then Mix64) lets a
+  // peer fingerprinting under another snapshot version pass the backends'
+  // digest check, so Digest() must not equal it for any map.
+  for (const char* spec : {"a:1", "a:1,b:2", "a:1,b:2*2,c:3"}) {
+    ShardMap map = MustParse(spec);
+    uint64_t h = 1469598103934665603ULL;
+    for (unsigned char c :
+         std::to_string(map.num_shards()) + ";" + map.Serialise()) {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+    EXPECT_NE(map.Digest(), util::Mix64(h)) << spec;
+  }
 }
 
 TEST(ShardMapTest, ReplicaRangesStayAligned) {

@@ -63,7 +63,6 @@ struct Fleet {
       DecompositionServerOptions options;
       options.http.port = 0;
       options.http.io_threads = 2;
-      options.service.num_workers = 2;
       options.service.default_timeout_seconds = 30.0;
       auto server = DecompositionServer::Create(options);
       EXPECT_TRUE(server.ok()) << server.status().message();
@@ -304,7 +303,6 @@ TEST(ShardRouterTest, BackendRejectsMismatchedDigestWith421) {
   std::string instance = WriteHyperBench(graph);
   DecompositionServerOptions options;
   options.http.port = 0;
-  options.service.num_workers = 1;
   options.shard_map = MustParse("127.0.0.1:1001,127.0.0.1:1002");
   const int owner =
       options.shard_map->IndexFor(service::CanonicalFingerprint(graph));
@@ -341,7 +339,6 @@ TEST(ShardRouterTest, BackendSelfEnforcesItsRangeOnDirectRequests) {
   // range-filtered snapshot drops.
   DecompositionServerOptions options;
   options.http.port = 0;
-  options.service.num_workers = 1;
   options.shard_map = MustParse("127.0.0.1:1001,127.0.0.1:1002");
   options.shard_index = 0;
   auto server = DecompositionServer::Create(options);

@@ -488,7 +488,6 @@ TEST(SubproblemStoreTest, EvictsUnderByteBudget) {
 
 TEST(SubproblemStoreTest, ServiceSharesOneStoreAcrossJobs) {
   service::ServiceOptions options;
-  options.num_workers = 2;
   options.enable_subproblem_store = true;
   options.solve.validate_result = true;
   // The whole-instance result cache would serve isomorphic resubmissions

@@ -1,19 +1,14 @@
-// Tests for rng, stats, cancel token and thread pool.
+// Tests for rng, stats, cancel token and timer.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cmath>
-#include <functional>
+#include <chrono>
 #include <set>
-#include <stdexcept>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/cancel.h"
 #include "util/rng.h"
 #include "util/stats.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace htd::util {
@@ -131,94 +126,6 @@ TEST(CancelTest, StopFromAnotherThread) {
   std::thread stopper([&] { token.RequestStop(); });
   stopper.join();
   EXPECT_TRUE(token.ShouldStop());
-}
-
-TEST(ThreadPoolTest, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] { counter.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIdleOnEmptyPool) {
-  ThreadPool pool(2);
-  pool.WaitIdle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, SingleThreadPoolStillWorks) {
-  ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 10; ++i) pool.Submit([&] { counter.fetch_add(1); });
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPoolTest, TasksCanSubmitMoreTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  pool.Submit([&] {
-    for (int i = 0; i < 5; ++i) pool.Submit([&] { counter.fetch_add(1); });
-  });
-  // Wait until nested submissions settle.
-  for (int i = 0; i < 100 && counter.load() < 5; ++i) pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 5);
-}
-
-TEST(ThreadPoolTest, SubmitBatchRunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 64; ++i) {
-    tasks.emplace_back([&] { counter.fetch_add(1); });
-  }
-  pool.SubmitBatch(std::move(tasks));
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ThreadPoolTest, SubmitBatchEmptyIsANoOp) {
-  ThreadPool pool(2);
-  pool.SubmitBatch({});
-  pool.WaitIdle();
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, TaskExceptionsAreRecordedNotFatal) {
-  // Single worker: tasks run in submission order, so "first failure" is
-  // deterministically the recorded exception.
-  ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  pool.Submit([] { throw std::runtime_error("first failure"); });
-  pool.Submit([&] { counter.fetch_add(1); });
-  pool.Submit([] { throw std::runtime_error("second failure"); });
-  pool.WaitIdle();
-  // Workers survived the throws and kept executing tasks.
-  EXPECT_EQ(counter.load(), 1);
-  EXPECT_EQ(pool.exception_count(), 2u);
-
-  std::exception_ptr first = pool.TakeException();
-  ASSERT_TRUE(first != nullptr);
-  try {
-    std::rethrow_exception(first);
-    FAIL() << "expected rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), "first failure");
-  }
-  // Taking clears the stored exception but not the count.
-  EXPECT_TRUE(pool.TakeException() == nullptr);
-  EXPECT_EQ(pool.exception_count(), 2u);
-}
-
-TEST(ThreadPoolTest, NoExceptionsMeansEmptyRecord) {
-  ThreadPool pool(2);
-  pool.Submit([] {});
-  pool.WaitIdle();
-  EXPECT_EQ(pool.exception_count(), 0u);
-  EXPECT_TRUE(pool.TakeException() == nullptr);
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {

@@ -55,8 +55,10 @@ void Usage(const char* argv0) {
       "usage: %s [options]\n"
       "  --host ADDR        listen address (default 127.0.0.1)\n"
       "  --port N           listen port, 0 = ephemeral (default 8080)\n"
-      "  --io-threads N     handler-executing threads: a synchronous solve\n"
-      "                     blocks one for its duration (default 8)\n"
+      "  --io-threads N     handler pool width: a private executor, apart\n"
+      "                     from --workers, whose idle threads sleep; a\n"
+      "                     synchronous solve blocks one for its duration\n"
+      "                     (default 8)\n"
       "  --loop-threads N   epoll event-loop ring driving connection I/O;\n"
       "                     a few loops carry tens of thousands of sockets\n"
       "                     (default 2)\n"
@@ -192,6 +194,7 @@ int main(int argc, char** argv) {
   options.service.default_timeout_seconds = 30.0;
   bool save_on_exit = true;
   double snapshot_interval = 0.0;
+  int workers = 4;  // --workers: the global executor's width
   bool have_shard_index = false;
   std::string route_to_spec;
   htd::net::ShardRouterOptions router_options{
@@ -227,7 +230,7 @@ int main(int argc, char** argv) {
       options.http.write_timeout_seconds =
           RequireSeconds(argv[0], "--write-timeout", next("--write-timeout"));
     } else if (flag == "--workers") {
-      options.service.num_workers = static_cast<int>(
+      workers = static_cast<int>(
           RequireInt(argv[0], "--workers", next("--workers"), 1, 1024));
     } else if (flag == "--threads") {
       options.service.solve.num_threads = static_cast<int>(
@@ -325,7 +328,7 @@ int main(int argc, char** argv) {
 
   // Size the fleet-wide executor before anything touches Global(): every
   // flight, chunk task, and async query job in this process runs on it.
-  htd::util::Executor::InitGlobal(options.service.num_workers);
+  htd::util::Executor::InitGlobal(workers);
   auto server = htd::net::DecompositionServer::Create(options);
   if (!server.ok()) {
     std::fprintf(stderr, "hdserver: %s\n", server.status().message().c_str());
@@ -340,7 +343,7 @@ int main(int argc, char** argv) {
   std::printf(
       "hdserver: listening on %s:%d (solver %s, %d workers, queue depth %d)\n",
       options.http.host.c_str(), (*server)->port(),
-      options.service.solver_name.c_str(), options.service.num_workers,
+      options.service.solver_name.c_str(), workers,
       options.max_queue_depth);
   if (options.shard_map.has_value()) {
     std::printf("hdserver: shard %d/%d of %s (digest %s)\n",

@@ -5,7 +5,8 @@ Phases (see ISSUE/acceptance criteria and docs/SERVER.md):
   1. cold server on a small corpus: every request answers 200, repeats hit
      the result cache, /v1/admin/snapshot persists the warm state;
   2. restart from the snapshot: the replayed corpus reports cache hits and
-     /v1/metrics shows the restored entry count;
+     /v1/metrics shows the restored entry count; then, without traffic,
+     the process wakes at most 60 times in 2 s (its two 100 ms polls);
   3. overload: a single-worker server with a tiny admission bound floods
      past the queue bound and sheds with 429 instead of queueing or hanging;
   4. sharding: two shard servers behind a --route-to proxy — deterministic
@@ -181,6 +182,29 @@ def parse_prometheus(text, source):
     if not series:
         fail(f"{source}: /v1/metrics rendered no samples")
     return series
+
+
+def voluntary_switches(pid):
+    """Voluntary context switches per thread of `pid`: each one is a sleep
+    the thread woke from (/proc/<pid>/task/<tid>/status)."""
+    counts = {}
+    for status in Path(f"/proc/{pid}/task").glob("*/status"):
+        try:
+            text = status.read_text()
+        except OSError:
+            continue  # the thread exited between listing and reading
+        match = re.search(r"^voluntary_ctxt_switches:\s*(\d+)", text, re.M)
+        if match:
+            counts[status.parent.name] = int(match.group(1))
+    return counts
+
+
+def idle_wakeups(pid, seconds):
+    """Wake-ups summed over every thread of `pid` across `seconds`."""
+    before = voluntary_switches(pid)
+    time.sleep(seconds)
+    after = voluntary_switches(pid)
+    return sum(n - before.get(tid, 0) for tid, n in after.items())
 
 
 def metrics(port, source):
@@ -873,9 +897,17 @@ def main():
     if series.get("htd_executor_workers", 0) != 2:
         fail(f"idle server reports {series.get('htd_executor_workers')} "
              f"executor workers, want 2 (--workers 2)")
+    # Without traffic only the main thread's and the acceptor's 100 ms polls
+    # may wake the process (40 in 2 s); compute workers, handler threads and
+    # event loops sleep until work arrives.
+    time.sleep(0.3)  # let the scrape's connection close
+    woken = idle_wakeups(server.pid, 2.0)
+    if woken > 60:
+        fail(f"idle server woke {woken} times in 2 s, want at most 60")
     stop_server(server)
     print(f"phase 2 OK: warm restart served {len(corpus)} cache hits "
-          f"({int(restored)} entries restored), executor idle after drain")
+          f"({int(restored)} entries restored), executor idle after drain, "
+          f"{woken} wake-ups in 2 s idle")
 
     # --- Phase 3: flood past the admission bound. --------------------------
     port = free_port()
