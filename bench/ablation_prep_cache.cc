@@ -5,16 +5,15 @@
 //     the optimal-width protocol with and without the PreprocessingSolver
 //     wrapper for both log-k-decomp and det-k-decomp.
 //
-//  B. Negative subproblem cache — det-k-decomp's signature trick, which the
-//     paper singles out as the reason det-k parallelises badly (§1). We
-//     bolt the same idea onto log-k-decomp (core/negative_cache.h) and
-//     measure what it buys on refutation-heavy workloads, sequentially and
-//     under the partition simulation.
+//  B. Negative subproblem memo — det-k-decomp's signature trick, which the
+//     paper singles out as the reason det-k parallelises badly (§1). det-k
+//     always consults the solve's memo (core/negative_cache.h); here we let
+//     log-k-decomp's levels consult it too and measure what it buys on
+//     refutation-heavy workloads.
 //
 // Expected shape: preprocessing never changes widths and only shrinks the
-// search (large wins exactly where instances carry redundancy); the cache
-// cuts separator work on hard negatives, at a mutex cost the parallel
-// scaling pays for.
+// search (large wins exactly where instances carry redundancy); the memo
+// cuts separator work on hard negatives.
 #include <algorithm>
 #include <cstdlib>
 #include <chrono>
@@ -134,13 +133,8 @@ int Main() {
   struct CacheVariant {
     const char* name;
     bool enabled;
-    int shards;
   };
-  // "cached-1" pins the cache to a single stripe — the historical global-
-  // mutex configuration whose contention the paper's §1 argument is about;
-  // "cached-16" is the striped default.
-  const CacheVariant cache_variants[] = {
-      {"plain", false, 1}, {"cached-16", true, 16}, {"cached-1", true, 1}};
+  const CacheVariant cache_variants[] = {{"plain", false}, {"cached", true}};
   TextTable table_b;
   table_b.AddRow({"instance", "variant", "outcome", "separators", "cache hits",
                   "ms"});
@@ -151,7 +145,6 @@ int Main() {
           std::max(config.timeout_seconds, 1.0)));
       SolveOptions options;
       options.enable_cache = variant.enabled;
-      options.cache_shards = variant.shards;
       options.cancel = &deadline;
       LogKDecomp solver(options);
       SolveResult result = solver.Solve(negative.graph, negative.k);
@@ -166,13 +159,12 @@ int Main() {
   }
   std::printf("%s", table_b.Render().c_str());
   std::printf(
-      "\nReading: the cache trims exhaustive refutations (same outcome, fewer\n"
-      "separators); the paper's design point keeps log-k cache-free because\n"
-      "a shared cache serialises exactly the searches the algorithm\n"
-      "parallelises — cached-1 is that historical single-mutex exhibit, and\n"
-      "the striped cached-16 is what production paths use now. The follow-up\n"
-      "ablation, bench/ablation_shared_memo.cc, measures the cross-instance\n"
-      "version of the same idea: subproblem outcomes shared across runs.\n");
+      "\nReading: the memo trims exhaustive refutations (same outcome, fewer\n"
+      "separators); the paper's design point keeps log-k memo-free, and no\n"
+      "served path turns it on for log-k levels. det-k consults it always,\n"
+      "including as the hybrid's leaf solver. The follow-up ablation,\n"
+      "bench/ablation_shared_memo.cc, measures the cross-instance version of\n"
+      "the same idea: subproblem outcomes shared across runs.\n");
   return 0;
 }
 

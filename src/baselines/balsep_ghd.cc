@@ -2,45 +2,33 @@
 
 #include <vector>
 
+#include "core/search_types.h"
 #include "decomp/components.h"
-#include "decomp/fragment.h"
-#include "decomp/special_edges.h"
-#include "decomp/validation.h"
 #include "util/combinations.h"
-#include "util/timer.h"
 
 namespace htd {
 namespace {
 
-enum class GhdStatus { kFound, kNotFound, kStopped };
-
 class GhdEngine {
  public:
-  GhdEngine(const Hypergraph& graph, int k, const SolveOptions& options,
-            StatsCounters& stats)
-      : graph_(graph),
-        registry_(graph.num_vertices()),
-        k_(k),
-        options_(options),
-        stats_(stats) {}
+  explicit GhdEngine(SearchFrame& frame)
+      : frame_(frame), all_edges_(frame.graph.AllEdges()) {}
 
-  GhdStatus Decompose(const ExtendedSubhypergraph& comp,
-                      const util::DynamicBitset& conn, int depth,
-                      Fragment& fragment, int parent_node) {
-    stats_.recursive_calls.fetch_add(1, std::memory_order_relaxed);
-    stats_.UpdateMaxDepth(depth);
-    if (ShouldStop()) return GhdStatus::kStopped;
-
-    const util::DynamicBitset vertices = VerticesOf(graph_, registry_, comp);
+  SearchStatus Decompose(const ExtendedSubhypergraph& comp,
+                         const util::DynamicBitset& conn, int depth,
+                         Fragment& fragment, int parent_node) {
+    if (!frame_.Enter(depth)) return SearchStatus::kStopped;
+    const Hypergraph& graph = frame_.graph;
+    const util::DynamicBitset vertices = VerticesOf(graph, frame_.registry, comp);
     // Base case: the whole component fits under one node.
-    if (comp.edge_count <= k_) {
+    if (comp.edge_count <= frame_.k) {
       int node = fragment.AddNode(comp.edges.ToVector(), vertices);
       if (parent_node >= 0) {
         fragment.AddChild(parent_node, node);
       } else {
         fragment.SetRoot(node);
       }
-      return GhdStatus::kFound;
+      return SearchStatus::kFound;
     }
 
     const int total = comp.size();
@@ -48,13 +36,7 @@ class GhdEngine {
     // pass needs the "at least one component edge" restriction for
     // termination (see below), which the first-element bound provides.
     std::vector<int> candidates;
-    comp.edges.ForEach([&](int e) { candidates.push_back(e); });
-    const int num_own = static_cast<int>(candidates.size());
-    for (int e = 0; e < graph_.num_edges(); ++e) {
-      if (!comp.edges.Test(e) && graph_.edge_vertices(e).Intersects(vertices)) {
-        candidates.push_back(e);
-      }
-    }
+    const int num_own = ListCandidates(graph, comp, vertices, all_edges_, candidates);
     const int n = static_cast<int>(candidates.size());
 
     // Pass 1 (the defining BalancedGo move): balanced separators only —
@@ -66,18 +48,18 @@ class GhdEngine {
       const int first_limit = require_balanced ? n : num_own;
       std::vector<int> lambda;
       for (const util::SubsetChunk& chunk :
-           util::MakeSubsetChunks(n, k_, first_limit)) {
+           util::MakeSubsetChunks(n, frame_.k, first_limit)) {
         util::FixedFirstEnumerator enumerator(n, chunk.size, chunk.first);
         while (enumerator.Next()) {
-          if (ShouldStop()) return GhdStatus::kStopped;
-          stats_.separators_tried.fetch_add(1, std::memory_order_relaxed);
+          if (ShouldStop(frame_.options)) return SearchStatus::kStopped;
+          frame_.stats.separators_tried.fetch_add(1, std::memory_order_relaxed);
           lambda.clear();
           for (int idx : enumerator.indices()) lambda.push_back(candidates[idx]);
-          util::DynamicBitset lambda_union = graph_.UnionOfEdges(lambda);
+          util::DynamicBitset lambda_union = graph.UnionOfEdges(lambda);
           if (!conn.IsSubsetOf(lambda_union)) continue;
 
           ComponentSplit split =
-              SplitComponents(graph_, registry_, comp, lambda_union);
+              SplitComponents(graph, frame_.registry, comp, lambda_union);
           if (require_balanced && split.MaxComponentSize() * 2 > total) continue;
 
           util::DynamicBitset chi = lambda_union & vertices;
@@ -87,10 +69,10 @@ class GhdEngine {
           bool ok = true;
           for (size_t i = 0; i < split.components.size() && ok; ++i) {
             util::DynamicBitset child_conn = split.component_vertices[i] & chi;
-            GhdStatus sub = Decompose(split.components[i], child_conn, depth + 1,
-                                      fragment, node);
-            if (sub == GhdStatus::kStopped) return sub;
-            if (sub == GhdStatus::kNotFound) ok = false;
+            SearchStatus sub = Decompose(split.components[i], child_conn,
+                                         depth + 1, fragment, node);
+            if (sub == SearchStatus::kStopped) return sub;
+            if (sub == SearchStatus::kNotFound) ok = false;
           }
           if (!ok) {
             fragment.TruncateTo(checkpoint);
@@ -101,65 +83,29 @@ class GhdEngine {
           } else {
             fragment.SetRoot(node);
           }
-          return GhdStatus::kFound;
+          return SearchStatus::kFound;
         }
       }
     }
-    return GhdStatus::kNotFound;
+    return SearchStatus::kNotFound;
   }
 
  private:
-  bool ShouldStop() const {
-    return options_.cancel != nullptr && options_.cancel->ShouldStop();
-  }
-
-  const Hypergraph& graph_;
-  SpecialEdgeRegistry registry_;
-  const int k_;
-  const SolveOptions& options_;
-  StatsCounters& stats_;
+  SearchFrame& frame_;
+  const util::DynamicBitset all_edges_;
 };
 
 }  // namespace
 
 SolveResult BalSepGhd::Solve(const Hypergraph& graph, int k) {
-  util::WallTimer timer;
-  SolveResult result;
-  if (graph.num_edges() == 0) {
-    result.outcome = Outcome::kYes;
-    result.decomposition = Decomposition();
-    result.stats.seconds = timer.ElapsedSeconds();
-    return result;
-  }
-  StatsCounters counters;
-  GhdEngine engine(graph, k, options_, counters);
-  Fragment fragment;
-  ExtendedSubhypergraph full = ExtendedSubhypergraph::FullGraph(graph);
-  util::DynamicBitset empty_conn(graph.num_vertices());
-  GhdStatus status = engine.Decompose(full, empty_conn, 0, fragment, -1);
-  result.stats = counters.Snapshot();
-  result.stats.seconds = timer.ElapsedSeconds();
-  switch (status) {
-    case GhdStatus::kStopped:
-      result.outcome = Outcome::kCancelled;
-      break;
-    case GhdStatus::kNotFound:
-      result.outcome = Outcome::kNo;  // for this incomplete search space
-      break;
-    case GhdStatus::kFound: {
-      result.outcome = Outcome::kYes;
-      result.decomposition = fragment.ToDecomposition();
-      if (options_.validate_result) {
-        Validation validation = ValidateGhd(graph, *result.decomposition);
-        if (!validation.ok || result.decomposition->Width() > k) {
-          result.outcome = Outcome::kError;
-          result.decomposition.reset();
-        }
-      }
-      break;
-    }
-  }
-  return result;
+  return SolveInFrame(graph, k, options_, Witness::kGhd,
+                      [](SearchFrame& frame, const ExtendedSubhypergraph& full,
+                         const util::DynamicBitset& conn) {
+                        SearchOutcome outcome;
+                        outcome.status = GhdEngine(frame).Decompose(
+                            full, conn, 0, outcome.fragment, -1);
+                        return outcome;
+                      });
 }
 
 }  // namespace htd

@@ -1,125 +1,50 @@
 #include "baselines/det_k_decomp.h"
 
-#include <algorithm>
-#include <optional>
-
 #include "core/search_steps.h"
-#include "decomp/validation.h"
-#include "service/subproblem_store.h"
+#include "decomp/components.h"
 #include "util/combinations.h"
-#include "util/timer.h"
 
 namespace htd {
-
-DetKEngine::DetKEngine(const Hypergraph& graph, SpecialEdgeRegistry& registry, int k,
-                       const SolveOptions& options, StatsCounters& stats)
-    : graph_(graph), registry_(registry), k_(k), options_(options), stats_(stats) {
-  HTD_CHECK_GE(k, 1);
-}
 
 SearchOutcome DetKEngine::Decompose(const ExtendedSubhypergraph& comp,
                                     const util::DynamicBitset& conn,
                                     const util::DynamicBitset& allowed, int depth) {
-  stats_.recursive_calls.fetch_add(1, std::memory_order_relaxed);
-  stats_.UpdateMaxDepth(depth);
-  if (ShouldStop()) return SearchOutcome::Stopped();
+  return frame_.Decompose(comp, conn, allowed, depth, /*use_memo=*/true,
+                          [this](const Subproblem& sub) { return Search(sub); });
+}
 
-  const util::DynamicBitset vertices = VerticesOf(graph_, registry_, comp);
-
-  // Base case: few enough edges, no special edges -> one node covers all.
-  if (comp.edge_count <= k_ && comp.specials.empty()) {
-    Fragment fragment;
-    std::vector<int> lambda = comp.edges.ToVector();
-    if (lambda.empty()) {
-      // Empty subproblem (only possible for an empty input hypergraph).
-      return SearchOutcome::Found(Fragment());
-    }
-    int root = fragment.AddNode(std::move(lambda), vertices);
-    fragment.SetRoot(root);
-    return SearchOutcome::Found(std::move(fragment));
-  }
-  // Base case: a single special edge becomes a leaf.
-  if (comp.edge_count == 0 && comp.specials.size() == 1) {
-    Fragment fragment;
-    int special = comp.specials[0];
-    int root = fragment.AddSpecialLeaf(special, registry_.vertices(special));
-    fragment.SetRoot(root);
-    return SearchOutcome::Found(std::move(fragment));
-  }
-  // Negative base case (App. C): no edges left means no λ-label can make
-  // progress, so two or more special edges cannot be separated.
-  if (comp.edge_count == 0) return SearchOutcome::NotFound();
-
-  CacheKey key{comp.edges, comp.specials, conn, allowed};
-  if (CacheLookup(key)) {
-    stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    return SearchOutcome::NotFound();
-  }
-
-  // Cross-instance subproblem store: det-k decides the same predicate as
-  // log-k ("∃ width-≤k fragment of ⟨comp, conn⟩ with λ ⊆ allowed"), so the
-  // two solvers share entries in both directions.
-  service::SubproblemStore* store = options_.subproblem_store;
-  std::optional<service::SubproblemStore::Key> store_key;
-  if (store != nullptr && store->ShouldProbe(comp)) {
-    store_key = service::SubproblemStore::MakeKey(graph_, registry_, comp, conn,
-                                                  allowed, k_);
-    Fragment reusable;
-    switch (store->Lookup(*store_key, graph_, &reusable)) {
-      case service::SubproblemStore::Hit::kNegative:
-        stats_.store_negative_hits.fetch_add(1, std::memory_order_relaxed);
-        // Mirror into the per-run cache: revisits of this exact subproblem
-        // then answer locally instead of re-canonicalising.
-        CacheInsert(std::move(key));
-        return SearchOutcome::NotFound();
-      case service::SubproblemStore::Hit::kPositive:
-        stats_.store_positive_hits.fetch_add(1, std::memory_order_relaxed);
-        return SearchOutcome::Found(std::move(reusable));
-      case service::SubproblemStore::Hit::kMiss:
-        break;
-    }
-  }
-
-  // Candidate λ-edges: allowed edges touching the component, with the
-  // component's own edges first. Ordered-first-element enumeration then
-  // enforces "at least one new edge in λ" for free.
-  std::vector<int> candidates;
-  allowed.ForEach([&](int e) {
-    if (comp.edges.Test(e)) candidates.push_back(e);
-  });
-  const int num_new = static_cast<int>(candidates.size());
-  allowed.ForEach([&](int e) {
-    if (!comp.edges.Test(e) && graph_.edge_vertices(e).Intersects(vertices)) {
-      candidates.push_back(e);
-    }
-  });
-  const int n = static_cast<int>(candidates.size());
-
+SearchOutcome DetKEngine::Search(const Subproblem& sub) {
+  const Hypergraph& graph = frame_.graph;
+  SpecialEdgeRegistry& registry = frame_.registry;
+  const int n = static_cast<int>(sub.candidates.size());
+  // Ordered-first-element enumeration over the candidate list (component
+  // edges first) enforces "at least one new edge in λ" for free.
   std::vector<int> lambda;
-  for (const util::SubsetChunk& chunk : util::MakeSubsetChunks(n, k_, num_new)) {
+  for (const util::SubsetChunk& chunk :
+       util::MakeSubsetChunks(n, frame_.k, sub.num_new)) {
     util::FixedFirstEnumerator enumerator(n, chunk.size, chunk.first);
     while (enumerator.Next()) {
-      if (ShouldStop()) return SearchOutcome::Stopped();
-      stats_.separators_tried.fetch_add(1, std::memory_order_relaxed);
+      if (ShouldStop(frame_.options)) return SearchOutcome::Stopped();
+      frame_.stats.separators_tried.fetch_add(1, std::memory_order_relaxed);
       AddSearchStep();
       lambda.clear();
-      for (int idx : enumerator.indices()) lambda.push_back(candidates[idx]);
+      for (int idx : enumerator.indices()) lambda.push_back(sub.candidates[idx]);
 
-      util::DynamicBitset lambda_union = graph_.UnionOfEdges(lambda);
-      if (!conn.IsSubsetOf(lambda_union)) continue;
+      util::DynamicBitset lambda_union = graph.UnionOfEdges(lambda);
+      if (!sub.conn.IsSubsetOf(lambda_union)) continue;
       // Minimal χ (normal-form condition 3): vertices of λ inside the
       // component. Progress is guaranteed: λ contains a component edge e, and
       // e ⊆ ⋃λ ∩ V(comp) = χ.
-      util::DynamicBitset chi = lambda_union & vertices;
+      util::DynamicBitset chi = lambda_union & sub.vertices;
 
-      ComponentSplit split = SplitComponents(graph_, registry_, comp, chi);
+      ComponentSplit split = SplitComponents(graph, registry, sub.comp, chi);
       std::vector<Fragment> child_fragments;
       child_fragments.reserve(split.components.size());
       bool failed = false;
       for (size_t i = 0; i < split.components.size(); ++i) {
         util::DynamicBitset child_conn = split.component_vertices[i] & chi;
-        SearchOutcome child =
-            Decompose(split.components[i], child_conn, allowed, depth + 1);
+        SearchOutcome child = Decompose(split.components[i], child_conn,
+                                        sub.allowed, sub.depth + 1);
         if (child.status == SearchStatus::kStopped) return child;
         if (child.status == SearchStatus::kNotFound) {
           failed = true;
@@ -133,65 +58,25 @@ SearchOutcome DetKEngine::Decompose(const ExtendedSubhypergraph& comp,
       int root = fragment.AddNode(lambda, chi);
       fragment.SetRoot(root);
       for (int s : split.covered.specials) {
-        int leaf = fragment.AddSpecialLeaf(s, registry_.vertices(s));
+        int leaf = fragment.AddSpecialLeaf(s, registry.vertices(s));
         fragment.AddChild(root, leaf);
       }
       for (const Fragment& child : child_fragments) {
         fragment.Graft(child, root);
       }
-      if (store_key.has_value()) {
-        store->InsertPositive(*store_key, graph_, fragment);
-      }
       return SearchOutcome::Found(std::move(fragment));
     }
   }
-
-  CacheInsert(std::move(key));
-  if (store_key.has_value()) store->InsertNegative(*store_key);
   return SearchOutcome::NotFound();
 }
 
 SolveResult DetKDecomp::Solve(const Hypergraph& graph, int k) {
-  util::WallTimer timer;
-  SolveResult result;
-  if (graph.num_edges() == 0) {
-    // The empty hypergraph has the empty HD (width 0).
-    result.outcome = Outcome::kYes;
-    result.decomposition = Decomposition();
-    result.stats.seconds = timer.ElapsedSeconds();
-    return result;
-  }
-  StatsCounters counters;
-  SpecialEdgeRegistry registry(graph.num_vertices());
-  DetKEngine engine(graph, registry, k, options_, counters);
-
-  ExtendedSubhypergraph full = ExtendedSubhypergraph::FullGraph(graph);
-  util::DynamicBitset empty_conn(graph.num_vertices());
-  SearchOutcome outcome = engine.Decompose(full, empty_conn, graph.AllEdges(), 0);
-
-  result.stats = counters.Snapshot();
-  result.stats.seconds = timer.ElapsedSeconds();
-  switch (outcome.status) {
-    case SearchStatus::kStopped:
-      result.outcome = Outcome::kCancelled;
-      break;
-    case SearchStatus::kNotFound:
-      result.outcome = Outcome::kNo;
-      break;
-    case SearchStatus::kFound: {
-      result.outcome = Outcome::kYes;
-      result.decomposition = outcome.fragment.ToDecomposition();
-      if (options_.validate_result) {
-        Validation validation = ValidateHdWithWidth(graph, *result.decomposition, k);
-        if (!validation.ok) {
-          result.outcome = Outcome::kError;
-          result.decomposition.reset();
-        }
-      }
-      break;
-    }
-  }
-  return result;
+  return SolveInFrame(graph, k, options_, Witness::kHd,
+                      [&](SearchFrame& frame, const ExtendedSubhypergraph& full,
+                          const util::DynamicBitset& conn) {
+                        return DetKEngine(frame).Decompose(
+                            full, conn, graph.AllEdges(), 0);
+                      });
 }
 
 }  // namespace htd

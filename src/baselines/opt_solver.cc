@@ -78,9 +78,7 @@ OptimalRun OptimalSolver::FindOptimal(const Hypergraph& graph, int max_k) {
   LogKDecomp solver(options_);
   for (int k = 2; k <= max_k; ++k) {
     SolveResult result = solver.Solve(graph, k);
-    run.stats.separators_tried += result.stats.separators_tried;
-    run.stats.recursive_calls += result.stats.recursive_calls;
-    run.stats.cache_hits += result.stats.cache_hits;
+    run.stats.Add(result.stats);
     if (result.outcome == Outcome::kYes) {
       run.outcome = Outcome::kYes;
       run.width = k;

@@ -28,55 +28,39 @@
 // what the special condition needs at stitch time.
 #pragma once
 
-#include <memory>
-
 #include "baselines/det_k_decomp.h"
-#include "core/negative_cache.h"
 #include "core/parallel_search.h"
 #include "core/search_types.h"
 #include "core/solver.h"
-#include "decomp/components.h"
 
 namespace htd {
 
-/// Recursive engine; one instance per Solve call.
+/// Recursive engine over one solve's frame (core/search_types.h), which
+/// supplies the base cases, the memo and store probes and the candidate
+/// list; this engine adds the (p, c) separator search of Algorithm 2.
 class LogKEngine {
  public:
-  /// `fallback` (optional) is the hybrid's det-k engine: subproblems whose
-  /// hybrid metric drops below options.hybrid_threshold are forwarded to it.
-  /// `cache` (optional) is the negative subproblem cache that
-  /// options.enable_cache switches on. A cross-instance subproblem store, if
-  /// any, rides in on options.subproblem_store.
-  LogKEngine(const Hypergraph& graph, SpecialEdgeRegistry& registry, int k,
-             const SolveOptions& options, StatsCounters& stats,
-             DetKEngine* fallback, ThreadBudget* budget,
-             NegativeCache* cache = nullptr);
+  /// `fallback` (optional) is the hybrid's det-k engine on the same frame:
+  /// subproblems whose hybrid metric drops below options.hybrid_threshold
+  /// are forwarded to it. `budget` bounds the slot tasks the parallel
+  /// separator search offers.
+  LogKEngine(SearchFrame& frame, DetKEngine* fallback, ThreadBudget* budget)
+      : frame_(frame), fallback_(fallback), budget_(budget) {}
 
   SearchOutcome Decompose(const ExtendedSubhypergraph& comp,
                           const util::DynamicBitset& conn,
                           const util::DynamicBitset& allowed, int depth);
 
  private:
-  SearchOutcome TryChildCandidate(const ExtendedSubhypergraph& comp,
-                                  const util::DynamicBitset& conn,
-                                  const util::DynamicBitset& allowed,
-                                  const util::DynamicBitset& comp_vertices,
-                                  const std::vector<int>& lambda_child, int depth);
+  SearchOutcome Search(const Subproblem& sub);
+  SearchOutcome TryChildCandidate(const Subproblem& sub,
+                                  const std::vector<int>& lambda_child);
 
   double MetricValue(const ExtendedSubhypergraph& comp) const;
 
-  bool ShouldStop() const {
-    return options_.cancel != nullptr && options_.cancel->ShouldStop();
-  }
-
-  const Hypergraph& graph_;
-  SpecialEdgeRegistry& registry_;
-  const int k_;
-  const SolveOptions& options_;
-  StatsCounters& stats_;
+  SearchFrame& frame_;
   DetKEngine* fallback_;
   ThreadBudget* budget_;
-  NegativeCache* cache_;
 };
 
 /// HdSolver façade. With options.hybrid_metric == kNone this is plain

@@ -5,37 +5,30 @@
 
 #include "service/subproblem_store.h"
 #include "util/combinations.h"
-#include "util/timer.h"
 
 namespace htd {
 namespace {
 
-enum class Tri { kTrue, kFalse, kStopped };
-
 // Recursive state of one Algorithm 1 run.
 class BasicEngine {
  public:
-  BasicEngine(const Hypergraph& graph, SpecialEdgeRegistry& registry, int k,
-              const SolveOptions& options, StatsCounters& stats)
-      : graph_(graph),
-        registry_(registry),
-        k_(k),
-        options_(options),
-        stats_(stats),
-        all_edges_(graph.AllEdges()) {}
+  explicit BasicEngine(SearchFrame& frame)
+      : graph_(frame.graph),
+        registry_(frame.registry),
+        k_(frame.k),
+        options_(frame.options),
+        stats_(frame.stats),
+        all_edges_(frame.graph.AllEdges()) {}
 
   // Main program, lines 1-10: RootLoop over λ(r).
-  Tri Run() {
-    ExtendedSubhypergraph full = ExtendedSubhypergraph::FullGraph(graph_);
-    std::vector<int> all_edges;
-    for (int e = 0; e < graph_.num_edges(); ++e) all_edges.push_back(e);
+  SearchStatus Run(const ExtendedSubhypergraph& full) {
     const int n = graph_.num_edges();
 
     std::vector<int> lambda_root;
     for (const util::SubsetChunk& chunk : util::MakeSubsetChunks(n, k_, n)) {
       util::FixedFirstEnumerator enumerator(n, chunk.size, chunk.first);
       while (enumerator.Next()) {
-        if (ShouldStop()) return Tri::kStopped;
+        if (ShouldStop(options_)) return SearchStatus::kStopped;
         stats_.separators_tried.fetch_add(1, std::memory_order_relaxed);
         lambda_root.assign(enumerator.indices().begin(), enumerator.indices().end());
         util::DynamicBitset root_union = graph_.UnionOfEdges(lambda_root);
@@ -43,33 +36,29 @@ class BasicEngine {
         bool all_ok = true;
         for (size_t i = 0; i < split.components.size(); ++i) {
           util::DynamicBitset conn = split.component_vertices[i] & root_union;
-          Tri sub = Decomp(split.components[i], conn, 1);
-          if (sub == Tri::kStopped) return sub;
-          if (sub == Tri::kFalse) {
+          SearchStatus sub = Decomp(split.components[i], conn, 1);
+          if (sub == SearchStatus::kStopped) return sub;
+          if (sub == SearchStatus::kNotFound) {
             all_ok = false;
             break;  // reject this root
           }
         }
-        if (all_ok) return Tri::kTrue;
+        if (all_ok) return SearchStatus::kFound;
       }
     }
-    return Tri::kFalse;  // exhausted search space
+    return SearchStatus::kNotFound;  // exhausted search space
   }
 
  private:
-  bool ShouldStop() const {
-    return options_.cancel != nullptr && options_.cancel->ShouldStop();
-  }
-
   // Function Decomp, lines 11-40.
-  Tri Decomp(const ExtendedSubhypergraph& comp, const util::DynamicBitset& conn,
-             int depth) {
+  SearchStatus Decomp(const ExtendedSubhypergraph& comp,
+                      const util::DynamicBitset& conn, int depth) {
     stats_.recursive_calls.fetch_add(1, std::memory_order_relaxed);
     stats_.UpdateMaxDepth(depth);
-    if (ShouldStop()) return Tri::kStopped;
+    if (ShouldStop(options_)) return SearchStatus::kStopped;
     // Base cases, lines 12-15.
-    if (comp.edge_count <= k_ && comp.specials.empty()) return Tri::kTrue;
-    if (comp.edge_count == 0 && comp.specials.size() == 1) return Tri::kTrue;
+    if (comp.edge_count <= k_ && comp.specials.empty()) return SearchStatus::kFound;
+    if (comp.edge_count == 0 && comp.specials.size() == 1) return SearchStatus::kFound;
 
     // Cross-instance subproblem store — consume-only. Either polarity is a
     // genuine fact about fragment existence, and Algorithm 1's correctness
@@ -85,10 +74,10 @@ class BasicEngine {
       switch (store->Lookup(store_key, graph_, /*fragment=*/nullptr)) {
         case service::SubproblemStore::Hit::kNegative:
           stats_.store_negative_hits.fetch_add(1, std::memory_order_relaxed);
-          return Tri::kFalse;
+          return SearchStatus::kNotFound;
         case service::SubproblemStore::Hit::kPositive:
           stats_.store_positive_hits.fetch_add(1, std::memory_order_relaxed);
-          return Tri::kTrue;
+          return SearchStatus::kFound;
         case service::SubproblemStore::Hit::kMiss:
           break;
       }
@@ -110,7 +99,7 @@ class BasicEngine {
     for (const util::SubsetChunk& pchunk : util::MakeSubsetChunks(n, k_, n)) {
       util::FixedFirstEnumerator parent_enum(n, pchunk.size, pchunk.first);
       while (parent_enum.Next()) {
-        if (ShouldStop()) return Tri::kStopped;
+        if (ShouldStop(options_)) return SearchStatus::kStopped;
         stats_.separators_tried.fetch_add(1, std::memory_order_relaxed);
         lambda_parent.clear();
         for (int idx : parent_enum.indices()) lambda_parent.push_back(candidates[idx]);
@@ -127,7 +116,7 @@ class BasicEngine {
         for (const util::SubsetChunk& cchunk : util::MakeSubsetChunks(n, k_, n)) {
           util::FixedFirstEnumerator child_enum(n, cchunk.size, cchunk.first);
           while (child_enum.Next()) {
-            if (ShouldStop()) return Tri::kStopped;
+            if (ShouldStop(options_)) return SearchStatus::kStopped;
             stats_.separators_tried.fetch_add(1, std::memory_order_relaxed);
             lambda_child.clear();
             for (int idx : child_enum.indices()) lambda_child.push_back(candidates[idx]);
@@ -142,9 +131,9 @@ class BasicEngine {
             for (size_t i = 0; i < down_split.components.size(); ++i) {
               util::DynamicBitset sub_conn =
                   down_split.component_vertices[i] & chi_child;
-              Tri sub = Decomp(down_split.components[i], sub_conn, depth + 1);
-              if (sub == Tri::kStopped) return sub;
-              if (sub == Tri::kFalse) {
+              SearchStatus sub = Decomp(down_split.components[i], sub_conn, depth + 1);
+              if (sub == SearchStatus::kStopped) return sub;
+              if (sub == SearchStatus::kNotFound) {
                 children_ok = false;
                 break;  // line 34: reject child
               }
@@ -163,15 +152,15 @@ class BasicEngine {
             }
             comp_up.specials.push_back(registry_.Add(chi_child, lambda_child));
 
-            Tri up = Decomp(comp_up, conn, depth + 1);  // line 37
-            if (up == Tri::kStopped) return up;
-            if (up == Tri::kFalse) continue;  // line 38: reject child
-            return Tri::kTrue;                // line 39
+            SearchStatus up = Decomp(comp_up, conn, depth + 1);  // line 37
+            if (up == SearchStatus::kStopped) return up;
+            if (up == SearchStatus::kNotFound) continue;  // line 38: reject child
+            return SearchStatus::kFound;                // line 39
           }
         }
       }
     }
-    return Tri::kFalse;  // line 40: exhausted search space
+    return SearchStatus::kNotFound;  // line 40: exhausted search space
   }
 
   const Hypergraph& graph_;
@@ -185,23 +174,11 @@ class BasicEngine {
 }  // namespace
 
 SolveResult LogKDecompBasic::Solve(const Hypergraph& graph, int k) {
-  util::WallTimer timer;
-  SolveResult result;
-  if (graph.num_edges() == 0) {
-    result.outcome = Outcome::kYes;
-    result.stats.seconds = timer.ElapsedSeconds();
-    return result;
-  }
-  StatsCounters counters;
-  SpecialEdgeRegistry registry(graph.num_vertices());
-  BasicEngine engine(graph, registry, k, options_, counters);
-  Tri outcome = engine.Run();
-  result.stats = counters.Snapshot();
-  result.stats.seconds = timer.ElapsedSeconds();
-  result.outcome = outcome == Tri::kTrue    ? Outcome::kYes
-                   : outcome == Tri::kFalse ? Outcome::kNo
-                                            : Outcome::kCancelled;
-  return result;
+  return SolveInFrame(graph, k, options_, Witness::kNone,
+                      [](SearchFrame& frame, const ExtendedSubhypergraph& full,
+                         const util::DynamicBitset&) {
+                        return SearchOutcome{BasicEngine(frame).Run(full), {}};
+                      });
 }
 
 }  // namespace htd

@@ -4,20 +4,12 @@
 
 namespace htd {
 
-NegativeCache::NegativeCache(int num_shards) {
-  num_shards = std::max(1, num_shards);
-  shards_.reserve(num_shards);
-  for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
 bool NegativeCache::ContainsDominating(const ExtendedSubhypergraph& comp,
                                        const util::DynamicBitset& conn,
                                        const util::DynamicBitset& allowed) const {
   Key key{comp.edges, comp.specials, conn};
   key.ComputeHash();
-  Shard& shard = ShardFor(key);
+  const Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.entries.find(key);
   if (it == shard.entries.end()) return false;
@@ -49,9 +41,9 @@ void NegativeCache::Insert(const ExtendedSubhypergraph& comp,
 
 size_t NegativeCache::size() const {
   size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->entries.size();
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    total += shard.entries.size();
   }
   return total;
 }

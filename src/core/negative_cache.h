@@ -1,31 +1,33 @@
-// Thread-safe negative cache for log-k-decomp subproblems.
+// Thread-safe negative memo for one solve's subproblems.
 //
 // det-k-decomp owes much of its sequential speed to "extensive caching",
 // which the paper singles out as the reason it parallelises badly (§1). This
-// cache lets us measure that trade-off on our own engine: it records
-// subproblems ⟨E', Sp, Conn⟩ for which the search space was exhausted, so an
-// identical subproblem reached through a different (p, c) branch fails
-// immediately.
+// memo records subproblems ⟨E', Sp, Conn⟩ for which the search space was
+// exhausted, so an identical subproblem reached through a different branch
+// fails immediately. One instance lives in each solve's SearchFrame
+// (core/search_types.h): det-k always consults it, alone or as the hybrid's
+// leaf solver, and log-k levels do when SolveOptions::enable_cache is set,
+// which lets bench/ablation_prep_cache.cc measure the trade-off on the
+// paper's own engine.
 //
 // Soundness with allowed-edge sets: Decompose(H', Conn, A) failing only
 // proves that no fragment exists *with λ-labels from A*. A later query with
 // allowed set A ⊆ A_recorded is dominated (its search space is a subset), so
 // a hit requires a recorded superset. Entries per key are kept as an
-// antichain of ⊆-maximal allowed sets.
+// antichain of ⊆-maximal allowed sets. Pure det-k passes the root's allowed
+// set to every call, so there a hit is an exact match; the hybrid's det-k
+// leaves see the narrowed sets of log-k's up-calls, where dominance can
+// answer more.
 //
-// Concurrency: the key space is striped over independently locked shards
-// (the same pattern as service/result_cache.h), so parallel workers probing
-// different subproblems never contend. The original implementation took one
-// global mutex on purpose — the measured contention WAS the phenomenon the
-// paper describes — but once the cross-instance subproblem store
-// (service/subproblem_store.h) made cached search a first-class service
-// component, the bottleneck stopped being an exhibit and started being a
-// cost. The single-mutex story lives on in the benches: the cache-vs-
-// parallelism trade-off in bench/ablation_prep_cache.cc, the shared-
-// memoization follow-up in bench/ablation_shared_memo.cc.
+// Concurrency: the key space is striped over kShards independently locked
+// shards (the same pattern as service/result_cache.h), so parallel workers
+// probing different subproblems — log-k slot tasks, or the hybrid's det-k
+// leaves under them — rarely contend. The cross-instance version of the
+// same idea is the subproblem store (service/subproblem_store.h), measured
+// in bench/ablation_shared_memo.cc.
 #pragma once
 
-#include <memory>
+#include <array>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -37,11 +39,10 @@ namespace htd {
 
 class NegativeCache {
  public:
-  /// `num_shards` stripes (clamped to >= 1). The default matches
-  /// service/result_cache.h; SolveOptions::cache_shards = 1 reproduces the
-  /// historical global-mutex behaviour in measurements.
-  explicit NegativeCache(int num_shards = 16);
+  /// Lock stripes, as many as service/result_cache.h uses.
+  static constexpr int kShards = 16;
 
+  NegativeCache() = default;
   NegativeCache(const NegativeCache&) = delete;
   NegativeCache& operator=(const NegativeCache&) = delete;
 
@@ -57,8 +58,6 @@ class NegativeCache {
 
   /// Number of distinct ⟨E', Sp, Conn⟩ keys recorded (summed over shards).
   size_t size() const;
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
   struct Key {
@@ -88,11 +87,12 @@ class NegativeCache {
     std::unordered_map<Key, std::vector<util::DynamicBitset>, KeyHash> entries;
   };
 
-  Shard& ShardFor(const Key& key) const {
-    return *shards_[key.hash % shards_.size()];
+  Shard& ShardFor(const Key& key) { return shards_[key.hash % kShards]; }
+  const Shard& ShardFor(const Key& key) const {
+    return shards_[key.hash % kShards];
   }
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::array<Shard, kShards> shards_;
 };
 
 }  // namespace htd

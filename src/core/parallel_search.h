@@ -4,8 +4,10 @@
 // chunks; workers claim chunks from an atomic counter and run the full
 // candidate check — including nested recursion — independently. There is no
 // other inter-thread communication, which is why the paper observes linear
-// scaling: the first worker to find a fragment wins, the rest drain out at
-// the next candidate boundary.
+// scaling: the first worker to find a fragment wins. The losers see the win
+// only at this level's next candidate boundary: a nested search below them
+// polls just the solve's cancel token (ShouldStop, core/search_types.h),
+// so a losing slot runs its current candidate's subtree to the end.
 //
 // This file owns no threads. The parallel path spawns its slot workers as
 // tasks into the caller's util::TaskGroup on the fleet-wide work-stealing

@@ -55,18 +55,18 @@ struct SolveOptions {
   HybridMetric hybrid_metric = HybridMetric::kNone;
   double hybrid_threshold = 0.0;
 
-  /// Subproblems smaller than this are never parallelised (thread start-up
-  /// would dominate).
+  /// A log-k level offers candidate-chunk tasks to other workers (or, in
+  /// simulation mode, models them) only for subproblems of at least this
+  /// size; smaller ones are searched on the calling thread, where the task
+  /// hand-off would cost more than the search.
   int parallel_min_size = 12;
 
-  /// Negative subproblem cache for log-k-decomp (core/negative_cache.h).
-  /// Off by default: the paper's design point is cache-free parallel search;
-  /// enabling it trades the det-k-style sequential win for mutex contention
-  /// (measured in the ablation bench).
+  /// Lets log-k levels consult the solve's negative subproblem memo
+  /// (core/negative_cache.h); det-k, alone or as the hybrid's leaf solver,
+  /// always does. Off by default: the paper's design point is memo-free
+  /// parallel search (the trade-off is measured in
+  /// bench/ablation_prep_cache.cc).
   bool enable_cache = false;
-  /// Mutex stripes of that cache; 1 reproduces the historical global-mutex
-  /// variant (the contention exhibit of bench/ablation_prep_cache.cc).
-  int cache_shards = 16;
 
   /// If true, the separator search runs sequentially but computes the
   /// makespan its chunk scheduling would achieve on `num_threads` workers
@@ -93,7 +93,7 @@ struct SolveStats {
   long separators_tried = 0;  ///< candidate λ-labels examined
   long recursive_calls = 0;   ///< Decomp invocations
   int max_recursion_depth = 0;
-  long cache_hits = 0;          ///< det-k negative-cache hits
+  long cache_hits = 0;          ///< negative-memo hits (core/negative_cache.h)
   long detk_subproblems = 0;    ///< hybrid hand-offs to det-k-decomp
   /// Cross-instance subproblem store (service/subproblem_store.h) hits:
   /// dominated failures short-circuited / fragments reused without search.
@@ -105,6 +105,10 @@ struct SolveStats {
   long work_total = 0;
   long work_parallel = 0;
   double seconds = 0.0;
+
+  /// Sums `other` into these stats: every counter and the seconds add up,
+  /// the recursion depth is the larger of the two.
+  void Add(const SolveStats& other);
 };
 
 /// Thread-safe counters; snapshotted into SolveStats at the end of a run.

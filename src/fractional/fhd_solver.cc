@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/search_types.h"
 #include "decomp/components.h"
 #include "decomp/fragment.h"
 #include "decomp/special_edges.h"
@@ -17,8 +18,6 @@ namespace {
 
 constexpr double kWidthTolerance = 1e-7;
 
-enum class FhdStatus { kFound, kNotFound, kStopped };
-
 class FhdEngine {
  public:
   FhdEngine(const Hypergraph& graph, double width, int max_lambda,
@@ -30,12 +29,12 @@ class FhdEngine {
         options_(options),
         stats_(stats) {}
 
-  FhdStatus Decompose(const ExtendedSubhypergraph& comp,
+  SearchStatus Decompose(const ExtendedSubhypergraph& comp,
                       const util::DynamicBitset& conn, int depth,
                       Fragment& fragment, int parent_node) {
     stats_.recursive_calls.fetch_add(1, std::memory_order_relaxed);
     stats_.UpdateMaxDepth(depth);
-    if (ShouldStop()) return FhdStatus::kStopped;
+    if (ShouldStop(options_)) return SearchStatus::kStopped;
 
     const util::DynamicBitset vertices = VerticesOf(graph_, registry_, comp);
 
@@ -44,7 +43,7 @@ class FhdEngine {
     if (CachedRho(vertices) <= width_ + kWidthTolerance) {
       int node = fragment.AddNode(comp.edges.ToVector(), vertices);
       Attach(fragment, node, parent_node);
-      return FhdStatus::kFound;
+      return SearchStatus::kFound;
     }
 
     const int total = comp.size();
@@ -68,7 +67,7 @@ class FhdEngine {
            util::MakeSubsetChunks(n, max_lambda_, first_limit)) {
         util::FixedFirstEnumerator enumerator(n, chunk.size, chunk.first);
         while (enumerator.Next()) {
-          if (ShouldStop()) return FhdStatus::kStopped;
+          if (ShouldStop(options_)) return SearchStatus::kStopped;
           stats_.separators_tried.fetch_add(1, std::memory_order_relaxed);
           lambda.clear();
           for (int idx : enumerator.indices()) lambda.push_back(candidates[idx]);
@@ -89,21 +88,21 @@ class FhdEngine {
           bool ok = true;
           for (size_t i = 0; i < split.components.size() && ok; ++i) {
             util::DynamicBitset child_conn = split.component_vertices[i] & chi;
-            FhdStatus sub = Decompose(split.components[i], child_conn, depth + 1,
+            SearchStatus sub = Decompose(split.components[i], child_conn, depth + 1,
                                       fragment, node);
-            if (sub == FhdStatus::kStopped) return sub;
-            if (sub == FhdStatus::kNotFound) ok = false;
+            if (sub == SearchStatus::kStopped) return sub;
+            if (sub == SearchStatus::kNotFound) ok = false;
           }
           if (!ok) {
             fragment.TruncateTo(checkpoint);
             continue;
           }
           Attach(fragment, node, parent_node);
-          return FhdStatus::kFound;
+          return SearchStatus::kFound;
         }
       }
     }
-    return FhdStatus::kNotFound;
+    return SearchStatus::kNotFound;
   }
 
  private:
@@ -126,10 +125,6 @@ class FhdEngine {
     double rho = FractionalCoverWeight(graph_, vertex_set);
     rho_cache_.emplace(vertex_set, rho);
     return rho;
-  }
-
-  bool ShouldStop() const {
-    return options_.cancel != nullptr && options_.cancel->ShouldStop();
   }
 
   const Hypergraph& graph_;
@@ -165,19 +160,19 @@ FhdResult FhdSolver::Solve(const Hypergraph& graph, double width) {
   ExtendedSubhypergraph full = ExtendedSubhypergraph::FullGraph(graph);
   util::DynamicBitset empty_conn(graph.num_vertices());
   Fragment fragment;
-  FhdStatus status =
+  SearchStatus status =
       engine.Decompose(full, empty_conn, 0, fragment, /*parent_node=*/-1);
 
   result.stats = counters.Snapshot();
   result.stats.seconds = timer.ElapsedSeconds();
   switch (status) {
-    case FhdStatus::kStopped:
+    case SearchStatus::kStopped:
       result.outcome = Outcome::kCancelled;
       break;
-    case FhdStatus::kNotFound:
+    case SearchStatus::kNotFound:
       result.outcome = Outcome::kNo;  // relative to the bag family, see header
       break;
-    case FhdStatus::kFound: {
+    case SearchStatus::kFound: {
       result.outcome = Outcome::kYes;
       result.decomposition = fragment.ToDecomposition();
       result.fractional_width = FractionalWidth(graph, *result.decomposition);

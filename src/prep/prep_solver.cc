@@ -9,20 +9,6 @@
 namespace htd {
 namespace {
 
-void AccumulateStats(const SolveStats& in, SolveStats& out) {
-  out.separators_tried += in.separators_tried;
-  out.recursive_calls += in.recursive_calls;
-  out.max_recursion_depth = std::max(out.max_recursion_depth, in.max_recursion_depth);
-  out.cache_hits += in.cache_hits;
-  out.detk_subproblems += in.detk_subproblems;
-  out.work_total += in.work_total;
-  out.work_parallel += in.work_parallel;
-}
-
-}  // namespace
-
-namespace {
-
 class OwningPreprocessingSolver : public HdSolver {
  public:
   OwningPreprocessingSolver(std::unique_ptr<HdSolver> inner,
@@ -63,7 +49,7 @@ SolveResult PreprocessingSolver::Solve(const Hypergraph& graph, int k) {
   bool all_constructed = true;
   for (const ReducedComponent& component : instance.components()) {
     SolveResult sub = inner_.Solve(component.graph, k);
-    AccumulateStats(sub.stats, result.stats);
+    result.stats.Add(sub.stats);
     if (sub.outcome != Outcome::kYes) {
       result.outcome = sub.outcome;
       result.stats.seconds = timer.ElapsedSeconds();

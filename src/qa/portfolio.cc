@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "decomp/validation.h"
 #include "fractional/cover.h"
 #include "util/logging.h"
 
@@ -59,6 +60,9 @@ DecompositionPortfolio::DecompositionPortfolio(PortfolioOptions options)
 bool DecompositionPortfolio::Insert(const service::Fingerprint& fingerprint,
                                     const Hypergraph& graph,
                                     const Decomposition& decomposition) {
+  // A tree made for another naming of the query is not executable against
+  // this one; refuse it rather than store, score and pick it.
+  if (!ValidateGhd(graph, decomposition)) return false;
   Candidate candidate;
   candidate.decomposition = decomposition;
   candidate.width = decomposition.Width();
@@ -68,11 +72,6 @@ bool DecompositionPortfolio::Insert(const service::Fingerprint& fingerprint,
   for (int u = 0; u < decomposition.num_nodes(); ++u) {
     fractional::FractionalCover cover =
         fractional::FractionalEdgeCover(graph, decomposition.node(u).chi);
-    if (cover.weight < 0) {
-      // χ(u) holds a vertex outside every edge — not a decomposition of
-      // `graph`; refuse rather than store an inexecutable candidate.
-      return false;
-    }
     fractional_width = std::max(fractional_width, cover.weight);
     candidate.node_covers.push_back(std::move(cover.edge_weights));
   }

@@ -77,7 +77,8 @@ class DecompositionPortfolio {
 
   /// Offers a candidate decomposition of `graph`. Returns true when it was
   /// retained (new shape and either free capacity or better than the worst
-  /// retained candidate); false for duplicates and rejected candidates.
+  /// retained candidate); false for duplicates and rejected candidates. A
+  /// tree that is not a GHD of `graph` (ValidateGhd) is refused outright.
   bool Insert(const service::Fingerprint& fingerprint, const Hypergraph& graph,
               const Decomposition& decomposition);
 

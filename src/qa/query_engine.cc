@@ -183,7 +183,13 @@ util::StatusOr<QueryAnswer> QueryEngine::Answer(const cq::Query& query,
       cardinalities[i] = db.Find(query.atoms[i].relation)->tuples.size();
     }
     auto best = portfolio_.PickBest(answer.fingerprint, graph, cardinalities);
-    HTD_CHECK(best.has_value()) << "portfolio lost the inserted candidate";
+    if (!best.has_value()) {
+      // The warm stack can hand back trees made for another naming of this
+      // query, and the portfolio refuses every tree that is not a GHD of
+      // it: when it refused them all, there is nothing to execute.
+      return util::Status::Internal(
+          "no decomposition the service returned is a GHD of the query");
+    }
     pick = std::move(*best);
     answer.pick_seconds = timer.ElapsedSeconds();
   }

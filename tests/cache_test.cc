@@ -160,23 +160,19 @@ TEST(CachedSolverTest, CacheCutsSearchWorkOnNegatives) {
 }
 
 TEST(NegativeCacheTest, StripingPreservesSemantics) {
-  // The dominance semantics must be identical at any stripe count; 1 shard
-  // reproduces the historical global-mutex configuration.
-  for (int shards : {1, 3, 64}) {
-    NegativeCache cache(shards);
-    ExtendedSubhypergraph comp = MakeComp(8, {1, 2, 5}, {0});
-    util::DynamicBitset conn = util::DynamicBitset::FromIndices(10, {3});
-    util::DynamicBitset allowed = util::DynamicBitset::FromIndices(8, {0, 1, 2});
-    cache.Insert(comp, conn, allowed);
-    EXPECT_TRUE(cache.ContainsDominating(comp, conn, allowed)) << shards;
+  NegativeCache cache;
+  ExtendedSubhypergraph comp = MakeComp(8, {1, 2, 5}, {0});
+  util::DynamicBitset conn = util::DynamicBitset::FromIndices(10, {3});
+  util::DynamicBitset allowed = util::DynamicBitset::FromIndices(8, {0, 1, 2});
+  cache.Insert(comp, conn, allowed);
+  EXPECT_TRUE(cache.ContainsDominating(comp, conn, allowed));
 
-    // Spread keys over shards; size() must sum across them.
-    for (int i = 0; i < 20; ++i) {
-      ExtendedSubhypergraph other = MakeComp(64, {i, (i + 7) % 64}, {});
-      cache.Insert(other, conn, allowed);
-    }
-    EXPECT_EQ(cache.size(), 21u) << shards;
+  // Spread keys over the stripes; size() must sum across them.
+  for (int i = 0; i < 20; ++i) {
+    ExtendedSubhypergraph other = MakeComp(64, {i, (i + 7) % 64}, {});
+    cache.Insert(other, conn, allowed);
   }
+  EXPECT_EQ(cache.size(), 21u);
 }
 
 TEST(NegativeCacheTest, ConcurrentInsertAndLookupAreSafe) {

@@ -9,6 +9,7 @@
 #include "hypergraph/generators.h"
 #include "prep/prep_solver.h"
 #include "prep/preprocess.h"
+#include "service/subproblem_store.h"
 #include "util/rng.h"
 
 namespace htd {
@@ -178,6 +179,31 @@ TEST(PrepSolverTest, RejectsWidthBelowOptimum) {
   PreprocessingSolver solver(inner);
   EXPECT_EQ(solver.Solve(graph, 1).outcome, Outcome::kNo);
   EXPECT_EQ(solver.Solve(graph, 2).outcome, Outcome::kYes);
+}
+
+TEST(PrepSolverTest, ReportsEveryInnerCounter) {
+  // The wrapper sums its inner solves' stats; a store-backed inner solver
+  // answers part of a warm solve from the store, and the wrapped result
+  // must report those hits as the store counted them.
+  service::SubproblemStore store;
+  SolveOptions options;
+  options.subproblem_store = &store;
+  LogKDecomp inner(options);
+  PreprocessingSolver solver(inner);
+  Hypergraph grid = MakeGrid(3, 4);
+  for (int warm_up = 0; warm_up < 3; ++warm_up) {
+    ASSERT_EQ(solver.Solve(grid, 2).outcome, Outcome::kYes);
+  }
+  service::SubproblemStore::Stats before = store.GetStats();
+  SolveResult result = solver.Solve(grid, 2);
+  service::SubproblemStore::Stats after = store.GetStats();
+  ASSERT_EQ(result.outcome, Outcome::kYes);
+  ASSERT_GT(after.positive_hits + after.negative_hits,
+            before.positive_hits + before.negative_hits);
+  EXPECT_EQ(result.stats.store_positive_hits,
+            static_cast<long>(after.positive_hits - before.positive_hits));
+  EXPECT_EQ(result.stats.store_negative_hits,
+            static_cast<long>(after.negative_hits - before.negative_hits));
 }
 
 TEST(PrepSolverTest, DisconnectedComponentsDecideIndependently) {

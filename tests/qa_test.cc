@@ -389,8 +389,8 @@ TEST(QueryEngineTest, RenamedQueriesFailClosedOrAgreeWithBruteForce) {
   // the base naming. Executing such a tree aborted the process in
   // ProjectTo (cq/yannakakis.cc) for seeds 1000 (a cycle) and 1013 (a
   // random CQ); most renamed copies of 1035 are answered. The engine must
-  // refuse a tree that does not fit with an error, or answer what the
-  // brute-force oracle says.
+  // refuse a tree that does not fit with an error, and keep no candidate
+  // for it, or answer what the brute-force oracle says.
   for (uint64_t seed : {1000ull, 1013ull, 1035ull}) {
     util::Rng rng(seed);
     SeededQuery base = MakeSeededQuery(rng, seed);
@@ -404,6 +404,12 @@ TEST(QueryEngineTest, RenamedQueriesFailClosedOrAgreeWithBruteForce) {
         EXPECT_EQ(answer.status().code(), util::StatusCode::kInternal)
             << "seed " << seed << " copy " << copy << ": "
             << answer.status().message();
+        // The refused tree must not stay behind as a candidate.
+        Hypergraph graph = cq::QueryHypergraph(renamed);
+        EXPECT_EQ(engine.portfolio().CandidateCount(
+                      service::CanonicalFingerprint(graph), graph),
+                  0)
+            << "seed " << seed << " copy " << copy;
         continue;
       }
       auto oracle = cq::EvaluateBruteForce(renamed, base.db);
