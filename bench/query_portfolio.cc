@@ -15,15 +15,15 @@
 // heavy-heavy join; {S,T}+{U,R} keeps every bag at O(N*s). The heavy
 // pairing is inserted first (the first-found baseline slot the portfolio
 // never evicts), the light pairing second, as a diversity probe would. The
-// measurement is EvaluateWithDecomposition + CountSolutions wall time per
-// pick; both picks must agree on the exact count s^2.
+// measurement is the wall time of one EvaluateWithDecomposition call with
+// counting on per pick; both picks must agree on the exact count s^2.
 //
-// Representative run (containerised CI box, -O2; see docs/QUERIES.md):
+// Representative run (4 vCPUs, RelWithDebInfo; see docs/QUERIES.md):
 //
 //   N     first-found   portfolio   est-cost ratio   speedup
-//   200      0.066s       0.0005s         5x          124x
-//   400      0.42 s       0.0009s        10x          488x
-//   800      2.43 s       0.0048s        20x          503x
+//   200      0.0091s     0.00007s         5x          128x
+//   400      0.044 s     0.00009s        10x          493x
+//   800      0.21  s     0.00017s        20x         1211x
 //
 // The estimate ratio tracks N/(2s) exactly (N^2 vs 2Ns AGM bounds); the
 // realised speedup is larger still because the N^2 bag join also pays
@@ -95,11 +95,11 @@ Decomposition LightPairTree() {
 double TimeExecution(const cq::Query& query, const cq::Database& db,
                      const Decomposition& decomp, unsigned long long want) {
   util::WallTimer timer;
-  auto eval = cq::EvaluateWithDecomposition(query, db, decomp);
-  auto count = cq::CountSolutions(query, db, decomp);
+  auto eval = cq::EvaluateWithDecomposition(query, db, decomp,
+                                            /*count_solutions=*/true);
   double seconds = timer.ElapsedSeconds();
-  if (!eval.ok() || !count.ok() || !eval->satisfiable ||
-      count->value != want || count->saturated) {
+  if (!eval.ok() || !eval->satisfiable || eval->count.value != want ||
+      eval->count.saturated) {
     std::fprintf(stderr, "FATAL: execution disagrees with expected count %llu\n",
                  want);
     std::exit(1);
@@ -145,7 +145,7 @@ int Main() {
     double first_seconds =
         TimeExecution(*query, db, first->decomposition, want);
     double best_seconds = TimeExecution(*query, db, best->decomposition, want);
-    std::printf("%8lld %14.4f %14.4f %16.1f %8.1fx\n",
+    std::printf("%8lld %14.6f %14.6f %16.1f %8.1fx\n",
                 static_cast<long long>(n), first_seconds, best_seconds,
                 first->estimated_cost / best->estimated_cost,
                 first_seconds / best_seconds);

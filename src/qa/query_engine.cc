@@ -53,7 +53,8 @@ QueryEngine::QueryEngine(service::DecompositionService* service,
                   "Query-answering stage latency (decompose / pick / "
                   "execute) in seconds.");
   metrics.SetHelp("htd_queries_total",
-                  "Queries answered by the query engine, by outcome.");
+                  "Queries answered by the query engine, by outcome "
+                  "(error: the answer failed past the schema checks).");
   metrics.SetHelp("htd_query_portfolio_picks_total",
                   "Portfolio selections: first-found tree vs a better-scoring "
                   "alternative.");
@@ -69,8 +70,6 @@ util::StatusOr<QueryAnswer> QueryEngine::Answer(const cq::Query& query,
                                                 double timeout_seconds,
                                                 util::TraceParent trace,
                                                 std::optional<bool> count_override) {
-  const bool count_solutions =
-      count_override.value_or(options_.count_solutions);
   // Schema validation up front: every relation present at the right arity.
   for (const cq::Atom& atom : query.atoms) {
     const cq::Relation* relation = db.Find(atom.relation);
@@ -86,7 +85,26 @@ util::StatusOr<QueryAnswer> QueryEngine::Answer(const cq::Query& query,
   if (query.atoms.empty()) {
     return util::Status::InvalidArgument("query has no atoms");
   }
+  // Past the schema checks every answer counts once, a failed one as
+  // outcome="error", so sync and async jobs are counted alike.
+  util::StatusOr<QueryAnswer> answer =
+      Run(query, db, timeout_seconds, trace,
+          count_override.value_or(options_.count_solutions));
+  service_->metrics()
+      .GetCounter("htd_queries_total",
+                  std::string("outcome=\"") +
+                      (answer.ok() ? QueryOutcomeName(answer->outcome)
+                                   : "error") +
+                      "\"")
+      .Add();
+  return answer;
+}
 
+util::StatusOr<QueryAnswer> QueryEngine::Run(const cq::Query& query,
+                                             const cq::Database& db,
+                                             double timeout_seconds,
+                                             util::TraceParent trace,
+                                             bool count_solutions) {
   util::MetricsRegistry& metrics = service_->metrics();
   util::WallTimer deadline_timer;
   auto remaining = [&]() -> double {
@@ -103,10 +121,6 @@ util::StatusOr<QueryAnswer> QueryEngine::Answer(const cq::Query& query,
 
   auto finish = [&](QueryOutcome outcome) {
     answer.outcome = outcome;
-    metrics.GetCounter("htd_queries_total",
-                       std::string("outcome=\"") + QueryOutcomeName(outcome) +
-                           "\"")
-        .Add();
     return answer;
   };
 
@@ -209,8 +223,9 @@ util::StatusOr<QueryAnswer> QueryEngine::Answer(const cq::Query& query,
   {
     if (out_of_time()) return finish(QueryOutcome::kDeadline);
     // Fail closed: the warm stack can hand back a tree made for another
-    // naming of this query, and executing one that is not a GHD of the
-    // request's own hypergraph aborts the process.
+    // naming of this query, and one that is not a GHD of the request's own
+    // hypergraph is refused by the executor or, when it covers every atom
+    // but breaks connectedness, evaluates to a wrong answer.
     if (Validation valid = ValidateGhd(graph, pick.decomposition); !valid) {
       return util::Status::Internal(
           "picked decomposition is not a GHD of the query: " + valid.error);
@@ -218,16 +233,22 @@ util::StatusOr<QueryAnswer> QueryEngine::Answer(const cq::Query& query,
     util::WallTimer timer;
     util::TraceScope span("execute", trace,
                           static_cast<uint64_t>(pick.width));
-    auto eval = cq::EvaluateWithDecomposition(query, db, pick.decomposition);
-    if (!eval.ok()) return eval.status();
+    auto eval = cq::EvaluateWithDecomposition(query, db, pick.decomposition,
+                                              count_solutions);
+    // The schema passed its checks, so a refusal here is the tree's fault.
+    if (!eval.ok()) {
+      return util::Status::Internal("cannot execute the picked decomposition: " +
+                                    eval.status().message());
+    }
+    answer.count = eval->count;
+    answer.counted = count_solutions;
     if (!eval->satisfiable) {
-      answer.counted = count_solutions;
       answer.execute_seconds = timer.ElapsedSeconds();
       metrics.GetHistogram("htd_query_seconds", "stage=\"execute\"")
           .Observe(answer.execute_seconds);
       return finish(QueryOutcome::kUnsatisfiable);
     }
-    answer.witness = eval->witness;
+    answer.witness = std::move(eval->witness);
     // Verify the witness against every atom before reporting it: a bad
     // decomposition (or executor bug) must surface as an error, never as a
     // wrong answer.
@@ -248,12 +269,6 @@ util::StatusOr<QueryAnswer> QueryEngine::Answer(const cq::Query& query,
         return util::Status::Internal("witness violates atom over '" +
                                       atom.relation + "'");
       }
-    }
-    if (count_solutions) {
-      auto count = cq::CountSolutions(query, db, pick.decomposition);
-      if (!count.ok()) return count.status();
-      answer.count = *count;
-      answer.counted = true;
     }
     answer.execute_seconds = timer.ElapsedSeconds();
     metrics.GetHistogram("htd_query_seconds", "stage=\"execute\"")

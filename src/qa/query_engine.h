@@ -16,7 +16,8 @@
 //
 // Observability (PR 6 conventions): per-stage spans "decompose" / "pick" /
 // "execute" under the caller's trace parent, htd_query_seconds{stage=...}
-// histograms, htd_queries_total{outcome=...} and
+// histograms, htd_queries_total{outcome=...} (the four outcomes plus
+// "error" for a failed answer) and
 // htd_query_portfolio_picks_total{pick=first|alternative} counters — all on
 // the service's registry so /v1/metrics renders them.
 #pragma once
@@ -110,6 +111,11 @@ class QueryEngine {
   const QueryEngineOptions& options() const { return options_; }
 
  private:
+  /// Answer past its schema checks: decompose, pick, execute.
+  util::StatusOr<QueryAnswer> Run(const cq::Query& query, const cq::Database& db,
+                                  double timeout_seconds, util::TraceParent trace,
+                                  bool count_solutions);
+
   service::DecompositionService* service_;
   QueryEngineOptions options_;
   DecompositionPortfolio portfolio_;

@@ -8,6 +8,7 @@
 #include "core/log_k_decomp.h"
 #include "cq/database.h"
 #include "cq/query.h"
+#include "hypergraph/generators.h"
 #include "qa/portfolio.h"
 #include "service/canonical.h"
 #include "util/rng.h"
@@ -125,6 +126,31 @@ TEST_F(YannakakisTest, ArityMismatchReported) {
   db.AddRelation({"R", 3, {{1, 2, 3}}});
   auto result = EvaluateWithDecomposition(*query, db, Decompose(*query));
   EXPECT_FALSE(result.ok());
+}
+
+// A tree that covers every atom but whose bags its λ-atoms do not cover, or
+// that holds a node with an empty λ, cannot be evaluated: both entry points
+// must refuse it with a Status instead of aborting.
+TEST_F(YannakakisTest, TreesThatCannotBeEvaluatedFailClosed) {
+  auto query = ParseQuery("R(X,Y), S(Y,Z).");
+  ASSERT_TRUE(query.ok());
+  Database db;
+  db.AddRelation({"R", 2, {{1, 2}}});
+  db.AddRelation({"S", 2, {{2, 5}}});
+  // Vertices by first occurrence: X=0, Y=1, Z=2; atoms R=0, S=1.
+  Decomposition uncovered_bag;
+  uncovered_bag.AddNode({0}, util::DynamicBitset::FromIndices(3, {0, 1, 2}), -1);
+  Decomposition empty_lambda;
+  int root = empty_lambda.AddNode({0, 1},
+                                  util::DynamicBitset::FromIndices(3, {0, 1, 2}), -1);
+  empty_lambda.AddNode({}, util::DynamicBitset::FromIndices(3, {1}), root);
+  for (const Decomposition* tree : {&uncovered_bag, &empty_lambda}) {
+    auto eval = EvaluateWithDecomposition(*query, db, *tree);
+    EXPECT_FALSE(eval.ok());
+    EXPECT_EQ(eval.status().code(), util::StatusCode::kInvalidArgument);
+    auto count = CountSolutions(*query, db, *tree);
+    EXPECT_FALSE(count.ok());
+  }
 }
 
 // Differential testing: HD-guided evaluation must agree with brute force on
@@ -275,6 +301,103 @@ TEST_P(PortfolioPropertyTest, EveryRetainedCandidateAgreesWithBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PortfolioPropertyTest, ::testing::Range(0, 20));
+
+// Differential executor test on perfbench serve-query's shapes: cycles,
+// tree-shaped acyclic queries and random CQs with atoms of arity up to 3.
+// Some atoms repeat a variable, some relations are empty or hold duplicate
+// tuples. Both the optimal-width tree and one found at width + 1 must agree
+// with the brute-force oracles.
+class ExecutorDifferentialTest : public ::testing::TestWithParam<int> {};
+
+Query ServeQueryShape(util::Rng& rng, int shape) {
+  const int atoms = rng.UniformInt(4, 8);
+  Hypergraph graph = shape == 0   ? MakeCycle(atoms)
+                     : shape == 1 ? MakeAcyclicQuery(rng, atoms, 3)
+                                  : MakeRandomCq(rng, atoms, 3, 0.3);
+  Query query;
+  for (int e = 0; e < graph.num_edges(); ++e) {
+    Atom atom;
+    atom.relation = "R" + std::to_string(e);
+    for (int v : graph.edge_vertex_list(e)) {
+      atom.variables.push_back("X" + std::to_string(v));
+    }
+    // R(X,Y,X): the repeat adds a column, not a vertex.
+    if (rng.Chance(0.25)) atom.variables.push_back(atom.variables.front());
+    query.atoms.push_back(std::move(atom));
+  }
+  return query;
+}
+
+TEST_P(ExecutorDifferentialTest, AgreesWithBruteForceOnServeQueryShapes) {
+  const int seed = GetParam();
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  util::Rng rng(seed + 7000);
+  Query query = ServeQueryShape(rng, seed % 3);
+  Database db = RandomDatabase(rng, query, /*domain_size=*/5,
+                               /*tuples_per_relation=*/10,
+                               /*satisfiable_bias=*/0.7);
+  for (const Atom& atom : query.atoms) {
+    Relation relation = *db.Find(atom.relation);
+    if (rng.Chance(0.05)) {
+      relation.tuples.clear();
+    } else if (rng.Chance(0.3)) {
+      const size_t n = relation.tuples.size();
+      for (size_t i = 0; i < n; i += 2) relation.tuples.push_back(relation.tuples[i]);
+    }
+    db.AddRelation(std::move(relation));
+  }
+
+  Hypergraph graph = QueryHypergraph(query);
+  LogKDecomp solver;
+  OptimalRun run = FindOptimalWidth(solver, graph, 10);
+  ASSERT_EQ(run.outcome, Outcome::kYes);
+  std::vector<Decomposition> trees;
+  trees.push_back(*run.decomposition);
+  if (run.width + 1 <= graph.num_edges()) {
+    SolveResult wider = solver.Solve(graph, run.width + 1);
+    ASSERT_EQ(wider.outcome, Outcome::kYes);
+    trees.push_back(*wider.decomposition);
+  }
+
+  auto oracle_sat = EvaluateBruteForce(query, db);
+  auto oracle_count = CountSolutionsBruteForce(query, db);
+  ASSERT_TRUE(oracle_sat.ok());
+  ASSERT_TRUE(oracle_count.ok());
+  EXPECT_EQ(oracle_sat->satisfiable, *oracle_count > 0);
+
+  for (size_t t = 0; t < trees.size(); ++t) {
+    SCOPED_TRACE("tree " + std::to_string(t));
+    auto eval = EvaluateWithDecomposition(query, db, trees[t]);
+    ASSERT_TRUE(eval.ok()) << eval.status().message();
+    EXPECT_EQ(eval->satisfiable, oracle_sat->satisfiable);
+    if (eval->satisfiable) {
+      for (const Atom& atom : query.atoms) {
+        Tuple expected;
+        for (const auto& variable : atom.variables) {
+          expected.push_back(eval->witness.at(variable));
+        }
+        const Relation* rel = db.Find(atom.relation);
+        EXPECT_NE(std::find(rel->tuples.begin(), rel->tuples.end(), expected),
+                  rel->tuples.end())
+            << "witness violates " << atom.relation;
+      }
+    }
+    auto count = CountSolutions(query, db, trees[t]);
+    ASSERT_TRUE(count.ok()) << count.status().message();
+    EXPECT_FALSE(count->saturated);
+    EXPECT_EQ(count->value, *oracle_count);
+    // One pass answers the same: satisfiability, witness and count.
+    auto one_pass = EvaluateWithDecomposition(query, db, trees[t],
+                                              /*count_solutions=*/true);
+    ASSERT_TRUE(one_pass.ok()) << one_pass.status().message();
+    EXPECT_EQ(one_pass->satisfiable, eval->satisfiable);
+    EXPECT_EQ(one_pass->witness, eval->witness);
+    EXPECT_EQ(one_pass->count.value, count->value);
+    EXPECT_EQ(one_pass->count.saturated, count->saturated);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExecutorDifferentialTest, ::testing::Range(0, 80));
 
 }  // namespace
 }  // namespace htd::cq

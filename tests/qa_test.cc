@@ -390,17 +390,20 @@ TEST(QueryEngineTest, RenamedQueriesFailClosedOrAgreeWithBruteForce) {
   // ProjectTo (cq/yannakakis.cc) for seeds 1000 (a cycle) and 1013 (a
   // random CQ); most renamed copies of 1035 are answered. The engine must
   // refuse a tree that does not fit with an error, and keep no candidate
-  // for it, or answer what the brute-force oracle says.
+  // for it, or answer what the brute-force oracle says. Every refusal is
+  // counted as htd_queries_total{outcome="error"}.
   for (uint64_t seed : {1000ull, 1013ull, 1035ull}) {
     util::Rng rng(seed);
     SeededQuery base = MakeSeededQuery(rng, seed);
     service::DecompositionService service;
     QueryEngine engine(&service);
     ASSERT_TRUE(engine.Answer(base.query, base.db, 0).ok()) << "seed " << seed;
+    uint64_t refused = 0;
     for (int copy = 1; copy <= 6; ++copy) {
       cq::Query renamed = RenamedCopy(base.query, rng, copy);
       auto answer = engine.Answer(renamed, base.db, 0);
       if (!answer.ok()) {
+        ++refused;
         EXPECT_EQ(answer.status().code(), util::StatusCode::kInternal)
             << "seed " << seed << " copy " << copy << ": "
             << answer.status().message();
@@ -419,6 +422,11 @@ TEST(QueryEngineTest, RenamedQueriesFailClosedOrAgreeWithBruteForce) {
                                      : QueryOutcome::kUnsatisfiable)
           << "seed " << seed << " copy " << copy;
     }
+    EXPECT_EQ(service.metrics()
+                  .GetCounter("htd_queries_total", "outcome=\"error\"")
+                  .Value(),
+              refused)
+        << "seed " << seed;
   }
 }
 
