@@ -1,4 +1,4 @@
-// Ablation bench (no direct paper counterpart; DESIGN.md §3 design choices):
+// Ablation bench (no direct paper counterpart):
 //
 //  A. Preprocessing — the width-preserving reductions (subsumed edges, twin
 //     vertices, component split) every production HD system applies. We run

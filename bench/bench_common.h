@@ -84,7 +84,8 @@ inline void PrintPreamble(const char* title, const RunConfig& config,
                           size_t corpus_size) {
   std::printf("=== %s ===\n", title);
   std::printf(
-      "corpus: %zu instances (HyperBench-like synthetic stand-in, see DESIGN.md)\n",
+      "corpus: %zu instances (HyperBench-like synthetic stand-in, see "
+      "docs/ARCHITECTURE.md)\n",
       corpus_size);
   std::printf("timeout: %.2fs/instance, max width %d, %d thread(s)\n\n",
               config.timeout_seconds, config.max_width, config.num_threads);

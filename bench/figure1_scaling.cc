@@ -2,33 +2,19 @@
 // HB_large analogue (instances with |E| > 50 and hw <= 6), with the
 // single-core NewDetKDecomp as reference.
 //
-// The paper measures wall-clock time on 1..5 cores of a 12-core Xeon. This
-// container has a single core (DESIGN.md §4, substitution 3), where real
-// threads cannot speed anything up (and oversubscription actively starves
-// workers). The harness therefore runs the solvers in partition-simulation
-// mode: the separator search executes sequentially while list-scheduling its
-// work chunks onto n virtual workers — exactly the dynamic chunk-claiming
-// discipline of the real parallel path — and reports
-//
-//   effective time(n) = wall time * makespan(n) / total work,
-//
-// the wall time the same search would take if the longest worker bounded the
-// runtime (the paper's §5.2 argument: no inter-thread communication, so the
-// longest worker is the critical path). Set HTD_FIG1_REAL_THREADS=1 on a
-// multicore machine to measure genuine wall-clock scaling instead.
-#include <cstdlib>
+// The paper measures wall-clock time on 1..5 cores of a 12-core Xeon (§5.2).
+// Here every method solves each selected instance once per width, with the
+// width as SolveOptions::num_threads on the global executor's worker
+// threads, and the table reports the mean wall-clock time and the speedup
+// over width 1. Widths run from 1 to the executor's worker count, at most 6:
+// past it, more slot tasks only queue on the same cores.
+#include <algorithm>
 
 #include "bench_common.h"
-#include "util/cancel.h"
-#include "util/timer.h"
+#include "util/executor.h"
 
 namespace htd::bench {
 namespace {
-
-bool UseRealThreads() {
-  const char* value = std::getenv("HTD_FIG1_REAL_THREADS");
-  return value != nullptr && value[0] == '1';
-}
 
 int Main() {
   RunConfig config = RunConfig::FromEnv();
@@ -37,10 +23,6 @@ int Main() {
   std::vector<Instance> corpus = BuildHyperBenchLikeCorpus(corpus_config);
   PrintPreamble("Figure 1: scaling with the number of cores (HB_large)", config,
                 corpus.size());
-  const bool real_threads = UseRealThreads();
-  std::printf("mode: %s\n\n", real_threads
-                                  ? "real threads (wall-clock scaling)"
-                                  : "partition simulation (single-core host)");
 
   // Pre-pass: determine widths (hybrid, sequential) to select HB_large.
   std::vector<int> widths(corpus.size(), -1);
@@ -55,10 +37,15 @@ int Main() {
     }
   }
   std::vector<int> selected = SelectLargeSubset(corpus, widths);
-  std::printf("HB_large analogue: %zu instances (|E| > 50, hw <= 6)\n\n",
+  std::printf("HB_large analogue: %zu instances (|E| > 50, hw <= 6):\n",
               selected.size());
+  for (size_t s = 0; s < selected.size(); ++s) {
+    std::printf("%s%s", s == 0 ? "  " : ", ", corpus[selected[s]].name.c_str());
+  }
+  const int workers = util::Executor::Global().num_workers();
+  const int max_threads = std::min(6, workers);
+  std::printf("\nexecutor workers: %d, widths 1..%d\n\n", workers, max_threads);
 
-  const int max_threads = 6;
   struct MethodSpec {
     const char* name;
     SolverFactory factory;
@@ -69,56 +56,44 @@ int Main() {
   };
 
   TextTable table;
-  table.AddRow({"method", "cores", "avg wall (ms)", "avg effective (ms)",
-                "speedup", "timeouts (all runs)"});
+  table.AddRow({"method", "cores", "avg wall (ms)", "speedup", "timeouts"});
   for (const MethodSpec& method : methods) {
     // The paper averages only over instances that never time out for any n.
     std::vector<bool> always_solved(selected.size(), true);
     std::vector<std::vector<double>> wall_per_inst(
         selected.size(), std::vector<double>(max_threads + 1, 0.0));
-    std::vector<std::vector<double>> eff_per_inst = wall_per_inst;
-    int timeouts = 0;
+    std::vector<int> timeouts(max_threads + 1, 0);
 
     for (int threads = 1; threads <= max_threads; ++threads) {
+      RunConfig run_config = config;
+      run_config.num_threads = threads;
       for (size_t s = 0; s < selected.size(); ++s) {
-        const Instance& instance = corpus[selected[s]];
-        util::CancelToken cancel;
-        cancel.SetTimeout(std::chrono::duration<double>(config.timeout_seconds));
-        SolveOptions options;
-        options.cancel = &cancel;
-        options.num_threads = threads;
-        options.simulate_partition = !real_threads;
-        std::unique_ptr<HdSolver> solver = method.factory(options);
-        util::WallTimer timer;
-        OptimalRun run = FindOptimalWidth(*solver, instance.graph, config.max_width);
-        double seconds = timer.ElapsedSeconds();
-        if (run.outcome != Outcome::kYes) {
+        RunRecord record = RunOptimalWithTimeout(
+            method.factory, corpus[selected[s]].graph, run_config);
+        if (!record.solved) {
           always_solved[s] = false;
-          ++timeouts;
+          ++timeouts[threads];
           continue;
         }
-        double ratio = run.stats.work_total > 0
-                           ? static_cast<double>(run.stats.work_parallel) /
-                                 static_cast<double>(run.stats.work_total)
-                           : 1.0;
-        wall_per_inst[s][threads] = seconds;
-        eff_per_inst[s][threads] = real_threads ? seconds : seconds * ratio;
+        wall_per_inst[s][threads] = record.seconds;
       }
     }
-    double base_effective = 0.0;
+    std::printf("%s: means over the %zu of %zu instances solved at every width\n",
+                method.name,
+                static_cast<size_t>(std::count(always_solved.begin(),
+                                               always_solved.end(), true)),
+                selected.size());
+    double base_wall = 0.0;
     for (int threads = 1; threads <= max_threads; ++threads) {
-      util::RunningStats wall_stats, eff_stats;
+      util::RunningStats wall_stats;
       for (size_t s = 0; s < selected.size(); ++s) {
-        if (!always_solved[s]) continue;
-        wall_stats.Add(wall_per_inst[s][threads]);
-        eff_stats.Add(eff_per_inst[s][threads]);
+        if (always_solved[s]) wall_stats.Add(wall_per_inst[s][threads]);
       }
-      if (threads == 1) base_effective = eff_stats.Mean();
-      double speedup =
-          eff_stats.Mean() > 0 ? base_effective / eff_stats.Mean() : 1.0;
+      if (threads == 1) base_wall = wall_stats.Mean();
+      double speedup = wall_stats.Mean() > 0 ? base_wall / wall_stats.Mean() : 1.0;
       table.AddRow({method.name, std::to_string(threads),
-                    Fmt1(wall_stats.Mean() * 1000), Fmt1(eff_stats.Mean() * 1000),
-                    Fmt1(speedup) + "x", std::to_string(timeouts)});
+                    Fmt1(wall_stats.Mean() * 1000), Fmt1(speedup) + "x",
+                    std::to_string(timeouts[threads])});
     }
   }
 
@@ -137,16 +112,10 @@ int Main() {
         ++timeouts;
       }
     }
-    table.AddRow({"NewDetKDecomp", "1", Fmt1(stats.Mean() * 1000),
-                  Fmt1(stats.Mean() * 1000), "1.0x", std::to_string(timeouts)});
+    table.AddRow({"NewDetKDecomp", "1", Fmt1(stats.Mean() * 1000), "1.0x",
+                  std::to_string(timeouts)});
   }
-  std::printf("%s\n", table.Render().c_str());
-  if (!real_threads) {
-    std::printf(
-        "note: effective time = wall * simulated-makespan / total-work; wall\n"
-        "itself cannot decrease on 1-CPU hardware. Rerun with\n"
-        "HTD_FIG1_REAL_THREADS=1 on a multicore machine for wall-clock scaling.\n");
-  }
+  std::printf("\n%s\n", table.Render().c_str());
   return 0;
 }
 

@@ -14,7 +14,7 @@
 // ghw (it can miss GHDs whose bags are strict subsets of ⋃λ), which mirrors
 // the empirical finding the paper reports in §5.2: the extra generality of
 // GHDs buys nothing on HyperBench (ghw found is never below hw), while the
-// GHD search is more expensive. See DESIGN.md §4.
+// GHD search is more expensive. See "Substitutions" in docs/ARCHITECTURE.md.
 #pragma once
 
 #include "core/solver.h"

@@ -3,9 +3,9 @@
 // HtdLEO encodes HD computation as an SMT instance and asks the solver for a
 // decomposition of *optimal* width directly: it takes no width parameter, is
 // single-threaded, and trades memory (solver state) for steadiness. That
-// closed SMT pipeline is not reproducible offline, so per DESIGN.md §4 we
-// substitute an exact optimal-width solver with the same interface and the
-// same performance profile:
+// closed SMT pipeline is not reproducible offline, so we substitute an
+// exact optimal-width solver with the same interface and the same
+// performance profile ("Substitutions" in docs/ARCHITECTURE.md):
 //
 //  * no width parameter — returns the optimal width and a proof-by-search
 //    that every smaller width fails;
@@ -22,7 +22,7 @@
 // Everything the evaluation compares — single-core exactness, steadiness,
 // a solved-set that dominates det-k-decomp's on mid-size instances, and no
 // benefit from extra cores — is preserved. What is necessarily lost without
-// an SMT stack is clause learning; see DESIGN.md §4 and EXPERIMENTS.md.
+// an SMT stack is clause learning.
 #pragma once
 
 #include "core/solver.h"

@@ -1,4 +1,4 @@
-// HyperBench-like synthetic corpus (DESIGN.md §4, substitution 1).
+// HyperBench-like synthetic corpus (docs/ARCHITECTURE.md, "Substitutions").
 //
 // HyperBench (Fischl et al. 2021) contains 3648 hypergraphs of CQs and CSPs;
 // the paper's Table 1 stratifies them by origin (Application / Synthetic)

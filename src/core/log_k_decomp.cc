@@ -16,43 +16,6 @@ namespace {
 // ring buffers.
 constexpr int kMaxTracedDepth = 6;
 
-// Models "the subproblems are independent of each other and are therefore
-// processed in parallel" (§D.1) in partition-simulation mode: the effective
-// cost of each sibling recursive call is measured, the set of costs is
-// list-scheduled onto the virtual workers, and the effective counter
-// collapses to the resulting makespan (plus any serial glue between calls).
-// In real-thread mode this is a no-op.
-class SiblingCollapse {
- public:
-  SiblingCollapse(bool enabled, int workers)
-      : enabled_(enabled && workers > 1),
-        workers_(workers),
-        base_(CurrentEffectiveSteps()),
-        child_start_(base_) {}
-
-  void BeginChild() { child_start_ = CurrentEffectiveSteps(); }
-  void EndChild() { costs_.push_back(CurrentEffectiveSteps() - child_start_); }
-
-  void Finish() {
-    if (!enabled_ || costs_.size() < 2) return;
-    std::vector<long> load(workers_, 0);
-    for (long cost : costs_) {
-      *std::min_element(load.begin(), load.end()) += cost;
-    }
-    long makespan = *std::max_element(load.begin(), load.end());
-    long serial_glue = CurrentEffectiveSteps() - base_;
-    for (long cost : costs_) serial_glue -= cost;
-    CollapseEffectiveSteps(base_ + std::max<long>(serial_glue, 0) + makespan);
-  }
-
- private:
-  bool enabled_;
-  int workers_;
-  long base_;
-  long child_start_;
-  std::vector<long> costs_;
-};
-
 }  // namespace
 
 double LogKEngine::MetricValue(const ExtendedSubhypergraph& comp) const {
@@ -92,18 +55,14 @@ SearchOutcome LogKEngine::Decompose(const ExtendedSubhypergraph& comp,
 
 SearchOutcome LogKEngine::Search(const Subproblem& sub) {
   const SolveOptions& options = frame_.options;
-  // ChildLoop, possibly parallel over (size, first-element) chunks. Real
-  // parallelism needs a task group to spawn into (Solve opens one when the
+  // ChildLoop, possibly parallel over (size, first-element) chunks. The
+  // parallel path needs a task group to spawn into (Solve opens one when the
   // scheduler didn't lend a flight group); the budget bounds how many slot
   // tasks this solve offers across all its concurrent search levels.
   int extra = 0;
-  int simulate_workers = 1;
-  if (options.num_threads > 1 && sub.comp.size() >= options.parallel_min_size) {
-    if (options.simulate_partition) {
-      simulate_workers = options.num_threads;
-    } else if (budget_ != nullptr && options.task_group != nullptr) {
-      extra = budget_->Claim(options.num_threads - 1);
-    }
+  if (options.num_threads > 1 && sub.comp.size() >= options.parallel_min_size &&
+      budget_ != nullptr && options.task_group != nullptr) {
+    extra = budget_->Claim(options.num_threads - 1);
   }
   // The per-recursion-level span: one "sep_search" per Decompose call near
   // the top of the tree, tagged with its depth — /v1/trace shows the
@@ -116,7 +75,7 @@ SearchOutcome LogKEngine::Search(const Subproblem& sub) {
       static_cast<uint64_t>(sub.depth));
   SearchOutcome outcome = DriveCandidates(
       static_cast<int>(sub.candidates.size()), frame_.k, sub.num_new, extra,
-      options.task_group, simulate_workers, frame_.stats,
+      options.task_group, frame_.stats,
       [&](const std::vector<int>& subset) {
         std::vector<int> lambda_child;
         lambda_child.reserve(subset.size());
@@ -146,9 +105,6 @@ SearchOutcome LogKEngine::TryChildCandidate(const Subproblem& sub,
       SplitComponents(graph, registry, sub.comp, child_union);
   if (child_split.MaxComponentSize() * 2 > total) return SearchOutcome::NotFound();
 
-  const bool simulate = options.simulate_partition && options.num_threads > 1 &&
-                        sub.comp.size() >= options.parallel_min_size;
-
   // Root case (lines 15-21): if ⋃λ(c) covers the interface, c can root this
   // fragment; χ(c) = ⋃λ(c) ∩ V(H').
   if (sub.conn.IsSubsetOf(child_union)) {
@@ -157,14 +113,11 @@ SearchOutcome LogKEngine::TryChildCandidate(const Subproblem& sub,
     int root = fragment.AddNode(lambda_child, chi_child);
     fragment.SetRoot(root);
     bool failed = false;
-    SiblingCollapse collapse(simulate, options.num_threads);
     for (size_t i = 0; i < child_split.components.size() && !failed; ++i) {
       util::DynamicBitset child_conn =
           child_split.component_vertices[i] & chi_child;
-      collapse.BeginChild();
       SearchOutcome child = Decompose(child_split.components[i], child_conn,
                                       sub.allowed, sub.depth + 1);
-      collapse.EndChild();
       if (child.status == SearchStatus::kStopped) return child;
       if (child.status == SearchStatus::kNotFound) {
         failed = true;
@@ -172,7 +125,6 @@ SearchOutcome LogKEngine::TryChildCandidate(const Subproblem& sub,
       }
       fragment.Graft(child.fragment, root);
     }
-    collapse.Finish();
     if (!failed) {
       // Special edges fully covered by χ(c) become leaf children of c
       // (Definition 3.3, conditions 2b/5).
@@ -243,21 +195,17 @@ SearchOutcome LogKEngine::TryChildCandidate(const Subproblem& sub,
     // invariant unconditionally; the normal-form witness always passes.
     if (down_split.MaxComponentSize() * 2 > total) return SearchOutcome::NotFound();
 
-    // Recursive calls for the components below c and for the "up" problem —
-    // all independent subproblems (processed in parallel per §D.1; the
-    // collapse models that in simulation mode).
-    SiblingCollapse collapse(simulate, options.num_threads);
+    // Recursive calls for the components below c and for the "up" problem:
+    // independent subproblems, which §D.1 processes in parallel; here they
+    // run one after another on the calling thread.
     std::vector<Fragment> below;
     below.reserve(down_split.components.size());
     for (size_t i = 0; i < down_split.components.size(); ++i) {
       util::DynamicBitset sub_conn = down_split.component_vertices[i] & chi_child;
-      collapse.BeginChild();
       SearchOutcome child = Decompose(down_split.components[i], sub_conn,
                                       sub.allowed, sub.depth + 1);
-      collapse.EndChild();
       if (child.status == SearchStatus::kStopped) return child;
       if (child.status == SearchStatus::kNotFound) {
-        collapse.Finish();
         return SearchOutcome::NotFound();  // reject this parent
       }
       below.push_back(std::move(child.fragment));
@@ -289,10 +237,7 @@ SearchOutcome LogKEngine::TryChildCandidate(const Subproblem& sub,
     });
     for (int e : to_remove) allowed_up.Reset(e);
 
-    collapse.BeginChild();
     SearchOutcome up = Decompose(comp_up, sub.conn, allowed_up, sub.depth + 1);
-    collapse.EndChild();
-    collapse.Finish();
     if (up.status == SearchStatus::kStopped) return up;
     if (up.status == SearchStatus::kNotFound) {
       return SearchOutcome::NotFound();  // reject this parent
@@ -314,12 +259,10 @@ SearchOutcome LogKEngine::TryChildCandidate(const Subproblem& sub,
     return SearchOutcome::Found(std::move(fragment));
   };
 
-  // The pair search over λ(p) shares the separator search's partitioning
-  // (the paper's parallelisation covers the whole (p, c) pair space); here
-  // it is driven sequentially and contributes to the partition simulation.
+  // The pair search over λ(p) shares the separator search's (size, first)
+  // chunk order; it runs sequentially inside the slot that claimed c.
   return DriveCandidates(parent_n, frame_.k, parent_new, /*extra_workers=*/0,
-                         /*group=*/nullptr, simulate ? options.num_threads : 1,
-                         frame_.stats, try_parent);
+                         /*group=*/nullptr, frame_.stats, try_parent);
 }
 
 SolveResult LogKDecomp::Solve(const Hypergraph& graph, int k) {
@@ -334,8 +277,7 @@ SolveResult LogKDecomp::Solve(const Hypergraph& graph, int k) {
                               : util::Executor::Global().num_workers();
   }
   std::unique_ptr<util::TaskGroup> own_group;
-  if (options.num_threads > 1 && !options.simulate_partition &&
-      options.task_group == nullptr) {
+  if (options.num_threads > 1 && options.task_group == nullptr) {
     own_group = std::make_unique<util::TaskGroup>(util::Executor::Global(),
                                                   options.cancel);
     options.task_group = own_group.get();
@@ -348,22 +290,7 @@ SolveResult LogKDecomp::Solve(const Hypergraph& graph, int k) {
         std::optional<DetKEngine> fallback;
         if (options.hybrid_metric != HybridMetric::kNone) fallback.emplace(frame);
         LogKEngine engine(frame, fallback ? &*fallback : nullptr, &budget);
-        const long steps_before = CurrentSearchSteps();
-        const long effective_before = CurrentEffectiveSteps();
-        SearchOutcome outcome = engine.Decompose(full, conn, graph.AllEdges(), 0);
-        if (options.simulate_partition) {
-          // Whole-solve partition metric: raw work vs modelled critical
-          // path, with Brent's bound work/T as the floor (search_steps.h).
-          const long total = CurrentSearchSteps() - steps_before;
-          const long effective = CurrentEffectiveSteps() - effective_before;
-          const long floor = (total + options.num_threads - 1) /
-                             std::max(1, options.num_threads);
-          const long parallel = std::max(effective, floor);
-          frame.stats.work_total.store(total, std::memory_order_relaxed);
-          frame.stats.work_parallel.store(parallel, std::memory_order_relaxed);
-          CollapseEffectiveSteps(effective_before + parallel);
-        }
-        return outcome;
+        return engine.Decompose(full, conn, graph.AllEdges(), 0);
       });
 }
 

@@ -27,8 +27,7 @@ void ThreadBudget::Release(int count) {
 }
 
 SearchOutcome DriveCandidates(int n, int k, int first_limit, int extra_workers,
-                              util::TaskGroup* group, int simulate_workers,
-                              StatsCounters& stats,
+                              util::TaskGroup* group, StatsCounters& stats,
                               const CandidateFn& try_candidate,
                               util::TraceParent trace) {
   const std::vector<util::SubsetChunk> chunks = util::MakeSubsetChunks(n, k, first_limit);
@@ -36,45 +35,24 @@ SearchOutcome DriveCandidates(int n, int k, int first_limit, int extra_workers,
 
   if (extra_workers <= 0 || group == nullptr) {
     // Sequential: chunks in deterministic (size, first) order. The step
-    // delta covers each candidate's full nested cost (see search_steps.h).
-    // With simulate_workers > 1, per-chunk *effective* costs (nested
-    // searches already collapsed to their own makespans) are list-scheduled
-    // onto virtual workers, mirroring the dynamic chunk claiming of the real
-    // parallel path; this search then collapses to the resulting makespan.
-    const int workers = std::max(1, simulate_workers);
-    std::vector<long> load(workers, 0);
+    // delta covers each candidate's full nested cost (see search_steps.h);
+    // one slot did all of it, so it is both the total and the longest share.
     const long steps_before = CurrentSearchSteps();
-    const long effective_before = CurrentEffectiveSteps();
-    long accounted = 0;
-    auto assign_chunk = [&](long cost) {
-      auto least = std::min_element(load.begin(), load.end());
-      *least += cost;
-      accounted += cost;
-    };
-    auto account = [&] {
-      // Any work not yet assigned to a chunk (the tail of an early exit).
-      long total_effective = CurrentEffectiveSteps() - effective_before;
-      assign_chunk(total_effective - accounted);
-      long makespan = *std::max_element(load.begin(), load.end());
-      stats.work_total.fetch_add(CurrentSearchSteps() - steps_before,
-                                 std::memory_order_relaxed);
-      stats.work_parallel.fetch_add(makespan, std::memory_order_relaxed);
-      if (workers > 1) CollapseEffectiveSteps(effective_before + makespan);
-    };
-    for (const util::SubsetChunk& chunk : chunks) {
-      const long chunk_start = CurrentEffectiveSteps();
-      util::FixedFirstEnumerator enumerator(n, chunk.size, chunk.first);
-      while (enumerator.Next()) {
-        SearchOutcome outcome = try_candidate(enumerator.indices());
-        if (outcome.status != SearchStatus::kNotFound) {
-          account();
-          return outcome;
+    auto search = [&] {
+      for (const util::SubsetChunk& chunk : chunks) {
+        util::FixedFirstEnumerator enumerator(n, chunk.size, chunk.first);
+        while (enumerator.Next()) {
+          SearchOutcome outcome = try_candidate(enumerator.indices());
+          if (outcome.status != SearchStatus::kNotFound) return outcome;
         }
       }
-      assign_chunk(CurrentEffectiveSteps() - chunk_start);
-    }
-    account();
-    return SearchOutcome::NotFound();
+      return SearchOutcome::NotFound();
+    };
+    SearchOutcome result = search();
+    const long steps = CurrentSearchSteps() - steps_before;
+    stats.work_total.fetch_add(steps, std::memory_order_relaxed);
+    stats.work_parallel.fetch_add(steps, std::memory_order_relaxed);
+    return result;
   }
 
   // Parallel: slot tasks claim chunks from an atomic cursor; the first

@@ -56,23 +56,14 @@ using CandidateFn = std::function<SearchOutcome(const std::vector<int>&)>;
 /// and the calling thread drains the group inline (work-stealing workers
 /// pick up whatever it hasn't started yet). Records search-step work into
 /// `stats`: work_total accumulates every step, work_parallel the longest
-/// slot's share per search (see SolveStats).
-///
-/// `simulate_workers` (> 1, only meaningful with extra_workers == 0) runs the
-/// search sequentially but additionally computes the makespan the solver's
-/// own chunk-scheduling discipline would achieve on that many workers —
-/// chunks are list-scheduled in claim order onto the least-loaded virtual
-/// worker, exactly mirroring the dynamic chunk claiming of the real parallel
-/// path. work_parallel then records the simulated makespan. This is how the
-/// Figure 1 harness demonstrates the paper's scaling argument on single-core
-/// hardware (DESIGN.md §4, substitution 3).
+/// slot's share per search; a sequential search adds its steps to both
+/// (see SolveStats).
 ///
 /// `trace` parents one "sep_worker" span per slot task (tagged with its
 /// slot) under the caller's per-level separator-search span; an all-zero
 /// TraceParent (the default) records nothing.
 SearchOutcome DriveCandidates(int n, int k, int first_limit, int extra_workers,
-                              util::TaskGroup* group, int simulate_workers,
-                              StatsCounters& stats,
+                              util::TaskGroup* group, StatsCounters& stats,
                               const CandidateFn& try_candidate,
                               util::TraceParent trace = {});
 

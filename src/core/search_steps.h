@@ -2,34 +2,18 @@
 //
 // A "step" is one candidate separator examined, anywhere in the recursion
 // (log-k child or parent candidates, det-k candidates inside the hybrid).
-// Two thread-local counters run in parallel:
 //
-//  * tls_search_steps   — raw work: every step, always.
-//  * tls_effective_steps — modelled parallel time: in partition-simulation
-//    mode (SolveOptions::simulate_partition), a nested separator search
-//    collapses its contribution to the makespan its chunks would achieve on
-//    num_threads virtual workers, so an ancestor candidate's cost reflects
-//    what a parallel execution of the subtree would have taken. The ratio
-//    effective/raw over a whole solve estimates the critical path of the
-//    paper's no-communication parallelisation (§5.2 / §D.1).
-//
-// DriveCandidates snapshots the executing thread's counters around each
-// top-level candidate, so a candidate's *entire nested cost* — including
-// recursive Decompose calls and det-k leaf work — is credited to the worker
-// (real or virtual) that ran it.
+// DriveCandidates snapshots the executing thread's counter around each
+// slot's share of a search, so a candidate's *entire nested cost* —
+// including recursive Decompose calls and det-k leaf work — is credited to
+// the slot that ran it (see SolveStats::work_total / work_parallel).
 #pragma once
 
 namespace htd {
 
 inline thread_local long tls_search_steps = 0;
-inline thread_local long tls_effective_steps = 0;
 
-inline void AddSearchStep() {
-  ++tls_search_steps;
-  ++tls_effective_steps;
-}
+inline void AddSearchStep() { ++tls_search_steps; }
 inline long CurrentSearchSteps() { return tls_search_steps; }
-inline long CurrentEffectiveSteps() { return tls_effective_steps; }
-inline void CollapseEffectiveSteps(long value) { tls_effective_steps = value; }
 
 }  // namespace htd

@@ -55,10 +55,9 @@ struct SolveOptions {
   HybridMetric hybrid_metric = HybridMetric::kNone;
   double hybrid_threshold = 0.0;
 
-  /// A log-k level offers candidate-chunk tasks to other workers (or, in
-  /// simulation mode, models them) only for subproblems of at least this
-  /// size; smaller ones are searched on the calling thread, where the task
-  /// hand-off would cost more than the search.
+  /// A log-k level offers candidate-chunk tasks to other workers only for
+  /// subproblems of at least this size; smaller ones are searched on the
+  /// calling thread, where the task hand-off would cost more than the search.
   int parallel_min_size = 12;
 
   /// Lets log-k levels consult the solve's negative subproblem memo
@@ -67,12 +66,6 @@ struct SolveOptions {
   /// parallel search (the trade-off is measured in
   /// bench/ablation_prep_cache.cc).
   bool enable_cache = false;
-
-  /// If true, the separator search runs sequentially but computes the
-  /// makespan its chunk scheduling would achieve on `num_threads` workers
-  /// (reported via work_parallel). Used to measure parallel-partition
-  /// quality on machines without enough physical cores (DESIGN.md §4).
-  bool simulate_partition = false;
 
   /// Cross-instance subproblem memoization (service/subproblem_store.h).
   /// Not owned; one store is meant to be shared by many solves, possibly
@@ -99,9 +92,12 @@ struct SolveStats {
   /// dominated failures short-circuited / fragments reused without search.
   long store_negative_hits = 0;
   long store_positive_hits = 0;
-  /// Parallel-scaling accounting (DESIGN.md §4.3): total candidates vs. the
-  /// per-search maximum over workers, summed. Their ratio estimates the
-  /// speedup the search-space partitioning achieves with perfect cores.
+  /// Parallel-scaling accounting (core/parallel_search.h): each candidate
+  /// search adds the steps taken inside it, nested searches included, to
+  /// work_total and its busiest slot's share to work_parallel; a sequential
+  /// search adds the same count to both. Their ratio is the speedup the chunk
+  /// partition reached on the executor threads that ran it (perfbench's
+  /// core.work_speedup).
   long work_total = 0;
   long work_parallel = 0;
   double seconds = 0.0;

@@ -37,8 +37,8 @@ util::StatusOr<SolverFactoryFn> MakeSolverFactory(const std::string& name);
 /// subproblem store, which can swap one valid decomposition for another).
 /// Used as the config component of result-cache keys; deliberately EXCLUDES
 /// execution-only knobs (num_threads, cancel, validate_result,
-/// parallel_min_size, simulate_partition) so e.g. a 1-thread and an 8-thread
-/// run share cache entries.
+/// parallel_min_size) so e.g. a 1-thread and an 8-thread run share cache
+/// entries.
 uint64_t SolverConfigDigest(const std::string& name, const SolveOptions& options);
 
 }  // namespace htd

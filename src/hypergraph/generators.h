@@ -5,7 +5,7 @@
 //    cycles of length >= 4: hw = 2, ...) anchor correctness assertions;
 //  * benchmarks: mixtures of these families form the HyperBench-like corpus
 //    (src/benchlib/corpus.*) substituting for the offline-unavailable
-//    HyperBench data set (DESIGN.md §4).
+//    HyperBench data set (docs/ARCHITECTURE.md, "Substitutions").
 //
 // All generators are deterministic given their parameters (and Rng seed).
 #pragma once

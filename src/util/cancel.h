@@ -2,7 +2,8 @@
 //
 // All solvers poll a CancelToken at candidate-separator granularity so the
 // benchmark runner can enforce per-instance timeouts in-process (the paper's
-// experiments used HTCondor job limits; see DESIGN.md §4).
+// experiments used HTCondor job limits; see "Substitutions" in
+// docs/ARCHITECTURE.md).
 #pragma once
 
 #include <atomic>

@@ -36,8 +36,8 @@ TEST(DriveCandidatesTest, SequentialExploresEverything) {
   StatsCounters stats;
   std::set<std::vector<int>> seen;
   SearchOutcome outcome = DriveCandidates(
-      5, 2, 5, /*extra_workers=*/0, /*group=*/nullptr, /*simulate_workers=*/1,
-      stats, [&](const std::vector<int>& subset) {
+      5, 2, 5, /*extra_workers=*/0, /*group=*/nullptr, stats,
+      [&](const std::vector<int>& subset) {
         AddSearchStep();
         seen.insert(subset);
         return SearchOutcome::NotFound();
@@ -55,7 +55,7 @@ TEST(DriveCandidatesTest, ParallelExploresEverything) {
   util::Executor executor(4);
   util::TaskGroup group(executor);
   SearchOutcome outcome = DriveCandidates(
-      6, 3, 6, /*extra_workers=*/3, &group, /*simulate_workers=*/1, stats,
+      6, 3, 6, /*extra_workers=*/3, &group, stats,
       [&](const std::vector<int>& subset) {
         AddSearchStep();
         std::lock_guard<std::mutex> lock(mutex);
@@ -68,29 +68,10 @@ TEST(DriveCandidatesTest, ParallelExploresEverything) {
   EXPECT_LE(stats.work_parallel.load(), stats.work_total.load());
 }
 
-TEST(DriveCandidatesTest, PartitionSimulationBalancesUniformWork) {
-  // Sequential run with 4 simulated workers over uniform-cost candidates:
-  // the simulated makespan must be close to total/4.
-  StatsCounters stats;
-  SearchOutcome outcome = DriveCandidates(
-      10, 2, 10, /*extra_workers=*/0, /*group=*/nullptr, /*simulate_workers=*/4,
-      stats,
-      [&](const std::vector<int>&) {
-        AddSearchStep();
-        return SearchOutcome::NotFound();
-      });
-  EXPECT_EQ(outcome.status, SearchStatus::kNotFound);
-  long total = stats.work_total.load();
-  long makespan = stats.work_parallel.load();
-  EXPECT_EQ(total, 10 + 45);
-  EXPECT_GE(makespan, (total + 3) / 4);
-  EXPECT_LE(makespan, total / 3);  // clearly better than 3 workers' ideal
-}
-
 TEST(DriveCandidatesTest, FirstLimitRestrictsFirstElement) {
   StatsCounters stats;
   std::set<std::vector<int>> seen;
-  DriveCandidates(5, 2, 2, 0, nullptr, 1, stats, [&](const std::vector<int>& subset) {
+  DriveCandidates(5, 2, 2, 0, nullptr, stats, [&](const std::vector<int>& subset) {
     seen.insert(subset);
     return SearchOutcome::NotFound();
   });
@@ -108,7 +89,7 @@ TEST(DriveCandidatesTest, FoundStopsSearch) {
   marker.SetRoot(node);
   std::atomic<int> calls{0};
   SearchOutcome outcome = DriveCandidates(
-      8, 2, 8, 0, nullptr, 1, stats, [&](const std::vector<int>& subset) {
+      8, 2, 8, 0, nullptr, stats, [&](const std::vector<int>& subset) {
         calls.fetch_add(1);
         if (subset == std::vector<int>{1}) {
           Fragment copy = marker;
@@ -129,7 +110,7 @@ TEST(DriveCandidatesTest, ParallelFindsResult) {
   util::Executor executor(4);
   util::TaskGroup group(executor);
   SearchOutcome outcome = DriveCandidates(
-      10, 2, 10, 3, &group, 1, stats, [&](const std::vector<int>& subset) {
+      10, 2, 10, 3, &group, stats, [&](const std::vector<int>& subset) {
         if (subset.size() == 2 && subset[0] == 4 && subset[1] == 7) {
           Fragment copy = marker;
           return SearchOutcome::Found(std::move(copy));
@@ -142,7 +123,7 @@ TEST(DriveCandidatesTest, ParallelFindsResult) {
 TEST(DriveCandidatesTest, StoppedPropagates) {
   StatsCounters stats;
   SearchOutcome outcome =
-      DriveCandidates(5, 2, 5, 0, nullptr, 1, stats, [&](const std::vector<int>&) {
+      DriveCandidates(5, 2, 5, 0, nullptr, stats, [&](const std::vector<int>&) {
         return SearchOutcome::Stopped();
       });
   EXPECT_EQ(outcome.status, SearchStatus::kStopped);
@@ -150,7 +131,7 @@ TEST(DriveCandidatesTest, StoppedPropagates) {
 
 TEST(DriveCandidatesTest, EmptySpace) {
   StatsCounters stats;
-  SearchOutcome outcome = DriveCandidates(0, 2, 0, 0, nullptr, 1, stats,
+  SearchOutcome outcome = DriveCandidates(0, 2, 0, 0, nullptr, stats,
                                           [&](const std::vector<int>&) {
                                             ADD_FAILURE() << "must not be called";
                                             return SearchOutcome::NotFound();

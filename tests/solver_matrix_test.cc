@@ -1,5 +1,5 @@
 // Cross-configuration integration matrix: every way of composing the
-// solvers (plain / cached / preprocessed / hybrid / parallel-simulated)
+// solvers (plain / cached / preprocessed / hybrid / parallel)
 // must agree on hw ≤ k, and every constructed HD must validate. This is the
 // suite that catches interactions the per-feature tests cannot (e.g. a
 // cache entry poisoning a preprocessed component solve).
@@ -37,12 +37,6 @@ std::vector<Config> AllConfigurations() {
   parallel.num_threads = 3;
   parallel.parallel_min_size = 4;
   configs.push_back({"log-k 3 threads", std::make_unique<LogKDecomp>(parallel)});
-
-  SolveOptions simulated;
-  simulated.num_threads = 4;
-  simulated.simulate_partition = true;
-  simulated.parallel_min_size = 4;
-  configs.push_back({"log-k simulated", std::make_unique<LogKDecomp>(simulated)});
 
   configs.push_back({"hybrid",
                      MakeHybridSolver(HybridMetric::kWeightedCount, 25.0)});

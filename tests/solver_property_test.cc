@@ -107,7 +107,11 @@ INSTANTIATE_TEST_SUITE_P(CycleSizes, NormalFormTest, ::testing::Range(0, 8));
 // Search pin: what the sequential solvers explore on a few small instances,
 // recorded once. Code shared between the engines (base cases, memo and store
 // probes, candidate order, the Solve body) must leave every separator,
-// recursive call and memo hit exactly where it was.
+// recursive call and memo hit exactly where it was. `work_total` pins the
+// sequential branch of DriveCandidates: each log-k candidate search adds the
+// steps taken inside it, nested searches included, to both work_total and
+// work_parallel, so the two are equal at width 1. The other solvers drive no
+// search through it and report 0.
 
 Hypergraph PinnedInstance(const std::string& name) {
   if (name == "cycle6") return MakeCycle(6);
@@ -135,54 +139,55 @@ struct PinnedSearch {
   long separators_tried;
   long recursive_calls;
   long cache_hits;
+  long work_total;
 };
 
 constexpr PinnedSearch kPinnedSearches[] = {
-    {"logk", "cycle6", 1, Outcome::kNo, 6, 1, 0},
-    {"logk", "cycle6", 2, Outcome::kYes, 34, 4, 0},
-    {"logk", "cycle6", 3, Outcome::kYes, 8, 2, 0},
-    {"logk", "grid3x4", 1, Outcome::kNo, 17, 1, 0},
-    {"logk", "grid3x4", 2, Outcome::kYes, 7335, 19, 0},
-    {"logk", "grid3x4", 3, Outcome::kYes, 6994, 11, 0},
-    {"logk", "cq31", 1, Outcome::kNo, 10, 1, 0},
-    {"logk", "cq31", 2, Outcome::kNo, 1667, 10, 0},
-    {"logk", "cq31", 3, Outcome::kYes, 992, 6, 0},
-    {"logk-memo", "cycle6", 1, Outcome::kNo, 6, 1, 0},
-    {"logk-memo", "cycle6", 2, Outcome::kYes, 34, 4, 0},
-    {"logk-memo", "cycle6", 3, Outcome::kYes, 8, 2, 0},
-    {"logk-memo", "grid3x4", 1, Outcome::kNo, 17, 1, 0},
-    {"logk-memo", "grid3x4", 2, Outcome::kYes, 2664, 19, 3},
-    {"logk-memo", "grid3x4", 3, Outcome::kYes, 6994, 11, 0},
-    {"logk-memo", "cq31", 1, Outcome::kNo, 10, 1, 0},
-    {"logk-memo", "cq31", 2, Outcome::kNo, 283, 10, 8},
-    {"logk-memo", "cq31", 3, Outcome::kYes, 992, 6, 0},
-    {"detk", "cycle6", 1, Outcome::kNo, 36, 7, 0},
-    {"detk", "cycle6", 2, Outcome::kYes, 15, 3, 0},
-    {"detk", "cycle6", 3, Outcome::kYes, 10, 3, 0},
-    {"detk", "grid3x4", 1, Outcome::kNo, 289, 18, 0},
-    {"detk", "grid3x4", 2, Outcome::kYes, 1087, 17, 1},
-    {"detk", "grid3x4", 3, Outcome::kYes, 380, 8, 0},
-    {"detk", "cq31", 1, Outcome::kNo, 100, 11, 0},
-    {"detk", "cq31", 2, Outcome::kNo, 2867, 195, 130},
-    {"detk", "cq31", 3, Outcome::kYes, 93, 5, 0},
-    {"basic", "cycle6", 1, Outcome::kNo, 78, 6, 0},
-    {"basic", "cycle6", 2, Outcome::kYes, 11, 4, 0},
-    {"basic", "cycle6", 3, Outcome::kYes, 11, 4, 0},
-    {"basic", "grid3x4", 1, Outcome::kNo, 595, 17, 0},
-    {"basic", "grid3x4", 2, Outcome::kYes, 4008, 18, 0},
-    {"basic", "grid3x4", 3, Outcome::kYes, 454, 13, 0},
-    {"basic", "cq31", 1, Outcome::kNo, 210, 10, 0},
-    {"basic", "cq31", 2, Outcome::kNo, 13725, 58, 0},
-    {"basic", "cq31", 3, Outcome::kYes, 262, 7, 0},
-    {"balsep", "cycle6", 1, Outcome::kNo, 78, 7, 0},
-    {"balsep", "cycle6", 2, Outcome::kYes, 15, 2, 0},
-    {"balsep", "cycle6", 3, Outcome::kYes, 8, 2, 0},
-    {"balsep", "grid3x4", 1, Outcome::kNo, 595, 18, 0},
-    {"balsep", "grid3x4", 2, Outcome::kYes, 661, 10, 0},
-    {"balsep", "grid3x4", 3, Outcome::kYes, 286, 6, 0},
-    {"balsep", "cq31", 1, Outcome::kNo, 210, 11, 0},
-    {"balsep", "cq31", 2, Outcome::kNo, 27168, 282, 0},
-    {"balsep", "cq31", 3, Outcome::kYes, 95, 6, 0},
+    {"logk", "cycle6", 1, Outcome::kNo, 6, 1, 0, 6},
+    {"logk", "cycle6", 2, Outcome::kYes, 34, 4, 0, 93},
+    {"logk", "cycle6", 3, Outcome::kYes, 8, 2, 0, 8},
+    {"logk", "grid3x4", 1, Outcome::kNo, 17, 1, 0, 17},
+    {"logk", "grid3x4", 2, Outcome::kYes, 7335, 19, 0, 27294},
+    {"logk", "grid3x4", 3, Outcome::kYes, 6994, 11, 0, 23639},
+    {"logk", "cq31", 1, Outcome::kNo, 10, 1, 0, 10},
+    {"logk", "cq31", 2, Outcome::kNo, 1667, 10, 0, 5905},
+    {"logk", "cq31", 3, Outcome::kYes, 992, 6, 0, 3489},
+    {"logk-memo", "cycle6", 1, Outcome::kNo, 6, 1, 0, 6},
+    {"logk-memo", "cycle6", 2, Outcome::kYes, 34, 4, 0, 93},
+    {"logk-memo", "cycle6", 3, Outcome::kYes, 8, 2, 0, 8},
+    {"logk-memo", "grid3x4", 1, Outcome::kNo, 17, 1, 0, 17},
+    {"logk-memo", "grid3x4", 2, Outcome::kYes, 2664, 19, 3, 8862},
+    {"logk-memo", "grid3x4", 3, Outcome::kYes, 6994, 11, 0, 23639},
+    {"logk-memo", "cq31", 1, Outcome::kNo, 10, 1, 0, 10},
+    {"logk-memo", "cq31", 2, Outcome::kNo, 283, 10, 8, 649},
+    {"logk-memo", "cq31", 3, Outcome::kYes, 992, 6, 0, 3489},
+    {"detk", "cycle6", 1, Outcome::kNo, 36, 7, 0, 0},
+    {"detk", "cycle6", 2, Outcome::kYes, 15, 3, 0, 0},
+    {"detk", "cycle6", 3, Outcome::kYes, 10, 3, 0, 0},
+    {"detk", "grid3x4", 1, Outcome::kNo, 289, 18, 0, 0},
+    {"detk", "grid3x4", 2, Outcome::kYes, 1087, 17, 1, 0},
+    {"detk", "grid3x4", 3, Outcome::kYes, 380, 8, 0, 0},
+    {"detk", "cq31", 1, Outcome::kNo, 100, 11, 0, 0},
+    {"detk", "cq31", 2, Outcome::kNo, 2867, 195, 130, 0},
+    {"detk", "cq31", 3, Outcome::kYes, 93, 5, 0, 0},
+    {"basic", "cycle6", 1, Outcome::kNo, 78, 6, 0, 0},
+    {"basic", "cycle6", 2, Outcome::kYes, 11, 4, 0, 0},
+    {"basic", "cycle6", 3, Outcome::kYes, 11, 4, 0, 0},
+    {"basic", "grid3x4", 1, Outcome::kNo, 595, 17, 0, 0},
+    {"basic", "grid3x4", 2, Outcome::kYes, 4008, 18, 0, 0},
+    {"basic", "grid3x4", 3, Outcome::kYes, 454, 13, 0, 0},
+    {"basic", "cq31", 1, Outcome::kNo, 210, 10, 0, 0},
+    {"basic", "cq31", 2, Outcome::kNo, 13725, 58, 0, 0},
+    {"basic", "cq31", 3, Outcome::kYes, 262, 7, 0, 0},
+    {"balsep", "cycle6", 1, Outcome::kNo, 78, 7, 0, 0},
+    {"balsep", "cycle6", 2, Outcome::kYes, 15, 2, 0, 0},
+    {"balsep", "cycle6", 3, Outcome::kYes, 8, 2, 0, 0},
+    {"balsep", "grid3x4", 1, Outcome::kNo, 595, 18, 0, 0},
+    {"balsep", "grid3x4", 2, Outcome::kYes, 661, 10, 0, 0},
+    {"balsep", "grid3x4", 3, Outcome::kYes, 286, 6, 0, 0},
+    {"balsep", "cq31", 1, Outcome::kNo, 210, 11, 0, 0},
+    {"balsep", "cq31", 2, Outcome::kNo, 27168, 282, 0, 0},
+    {"balsep", "cq31", 3, Outcome::kYes, 95, 6, 0, 0},
 };
 
 TEST(SearchPinTest, SequentialSolversSearchExactlyAsPinned) {
@@ -195,6 +200,8 @@ TEST(SearchPinTest, SequentialSolversSearchExactlyAsPinned) {
     EXPECT_EQ(result.stats.separators_tried, pin.separators_tried);
     EXPECT_EQ(result.stats.recursive_calls, pin.recursive_calls);
     EXPECT_EQ(result.stats.cache_hits, pin.cache_hits);
+    EXPECT_EQ(result.stats.work_total, pin.work_total);
+    EXPECT_EQ(result.stats.work_parallel, result.stats.work_total);
   }
 }
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Checks intra-repo links and anchors in the repository's Markdown files.
+"""Checks intra-repo links and anchors in the repository's Markdown files,
+and the Markdown files that source code cites.
 
 Scans every *.md file (outside build trees) for inline links and
 reference-style definitions, and fails if
@@ -13,8 +14,15 @@ reference-style definitions, and fails if
 External schemes (http, https, mailto) are ignored; fenced code blocks are
 skipped so code samples cannot produce false positives.
 
+It also scans the .h, .cc, .cpp and .py files under src/, bench/,
+examples/, tests/ and tools/ for `NAME.md` tokens, and fails if one names
+neither an existing repo-relative path nor the basename of an existing
+Markdown file (so a comment may say `OPERATIONS.md` or
+`docs/OPERATIONS.md`). This file itself is not scanned.
+
 Usage: python3 tools/check_md_links.py [repo_root]
-Exit status: 0 if every intra-repo link and anchor resolves, 1 otherwise.
+Exit status: 0 if every intra-repo link, anchor and code citation
+resolves, 1 otherwise.
 """
 
 import os
@@ -28,6 +36,10 @@ EXTERNAL = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.-]*:")
 HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 MD_LINK_TEXT = re.compile(r"\[([^\]]*)\]\([^)]*\)")
 SLUG_STRIP = re.compile(r"[^\w\- ]")
+CODE_DIRS = ("src", "bench", "examples", "tests", "tools")
+CODE_SUFFIXES = (".h", ".cc", ".cpp", ".py")
+MD_TOKEN = re.compile(r"[\w./-]*\w\.md\b")
+CHECKER = os.path.join("tools", "check_md_links.py")  # its docs cite examples
 
 
 def find_markdown_files(root):
@@ -51,6 +63,23 @@ def non_fenced_lines(path):
             if in_fence:
                 continue
             yield line_number, line
+
+
+def code_citations(root):
+    """(repo-relative file, line number, token) for every NAME.md token in
+    source code."""
+    for top in CODE_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames.sort()
+            for name in sorted(filenames):
+                path = os.path.join(dirpath, name)
+                relative = os.path.relpath(path, root)
+                if not name.endswith(CODE_SUFFIXES) or relative == CHECKER:
+                    continue
+                with open(path, encoding="utf-8") as handle:
+                    for line_number, line in enumerate(handle, start=1):
+                        for match in MD_TOKEN.finditer(line):
+                            yield relative, line_number, match.group(0)
 
 
 def links_in(path):
@@ -99,7 +128,8 @@ def main():
     dead = []
     dangling = []
     checked = anchors_checked = 0
-    for md_file in find_markdown_files(root):
+    md_files = list(find_markdown_files(root))
+    for md_file in md_files:
         for line_number, target in links_in(md_file):
             if EXTERNAL.match(target):
                 continue
@@ -121,6 +151,15 @@ def main():
                 if fragment.lower() not in anchors_of(resolved):
                     dangling.append(
                         (os.path.relpath(md_file, root), line_number, target))
+    md_basenames = {os.path.basename(path) for path in md_files}
+    missing = []
+    cited = 0
+    for path, line_number, token in code_citations(root):
+        cited += 1
+        if (token not in md_basenames and
+                not os.path.exists(os.path.join(root, token))):
+            missing.append((path, line_number, token))
+
     status = 0
     if dead:
         print("dead intra-repo links:")
@@ -132,9 +171,14 @@ def main():
         for md_file, line_number, target in dangling:
             print(f"  {md_file}:{line_number}: {target}")
         status = 1
+    if missing:
+        print("source comments citing missing Markdown files:")
+        for path, line_number, token in missing:
+            print(f"  {path}:{line_number}: {token}")
+        status = 1
     if status == 0:
-        print(f"ok: {checked} intra-repo links and {anchors_checked} anchors "
-              f"resolve")
+        print(f"ok: {checked} intra-repo links, {anchors_checked} anchors "
+              f"and {cited} Markdown citations in code resolve")
     return status
 
 
